@@ -20,27 +20,16 @@ import numpy as np
 from .environment import EnvSpec, eval_potential_grid, sample_env
 from .harness import (
     StudyConfig,
-    _elliptic_spec,
-    _eta_for,
-    _hjb_spec,
+    _compute_row,
     _reference_elliptic,
     _reference_hjb,
-    _solver_params,
     emit_csv,
     emit_json,
     fit_rate,
     load_csv,
     run_convergence_study,
 )
-from .hjb_solver import (
-    GridField,
-    NonConvergenceError,
-    ergodic_constant_periodic,
-    make_grid,
-    save_field,
-)
-from .elliptic_solver import ergodic_constant_periodic_elliptic
-from .periodize import periodize_elliptic, periodize_hjb
+from .hjb_solver import GridField, NonConvergenceError, make_grid, save_field
 from .validation import run_validation
 
 __all__ = ["main"]
@@ -122,6 +111,8 @@ def _cmd_gen_env(args) -> int:
 def _single_shot(args, kind: str, periodized: bool) -> int:
     obj = _load_json(args.config)
     cfg = _study_config(obj, args)
+    if cfg.model.get("type", "hjb") != kind:
+        raise _UsageError(f"{args.command} needs a model of type {kind!r}")
     seed = cfg.seeds[0]
     p = cfg.p_list[0]
     if not periodized:
@@ -129,30 +120,17 @@ def _single_shot(args, kind: str, periodized: bool) -> int:
             value = _reference_hjb(cfg, seed, p)
         else:
             value = _reference_elliptic(cfg, seed, p)
-        print(repr(float(value)))
     else:
         L = float(obj.get("L", cfg.L_list[0]))
-        eta = _eta_for(cfg, L)
-        n = max(8, int(round(cfg.nodes_per_unit * L)))
-        params = _solver_params(cfg)
-        if kind == "hjb":
-            spec = _hjb_spec(cfg, seed)
-            per = periodize_hjb(spec, L, eta,
-                                H0_constant=cfg.model.get("H0_constant"),
-                                H0_c1=cfg.model.get("H0_c1"))
-            grid = make_grid(spec.dimension, L, n)
-            est = ergodic_constant_periodic(per, p, grid, params)
-        else:
-            spec = _elliptic_spec(cfg, seed)
-            per = periodize_elliptic(spec, L, eta,
-                                     f0_coeff=cfg.model.get("f0_coeff"))
-            grid = make_grid(spec.dimension, L, n)
-            P = np.atleast_2d(np.asarray(p, dtype=float))
-            est = ergodic_constant_periodic_elliptic(per, P, grid, params)
-        print(repr(float(est.value)))
-        print(f"residual={est.residual:.3e} iterations={est.iterations} "
-              f"eta={eta}", file=sys.stderr)
-        value = est.value
+        row = _compute_row(cfg, seed, L, p, float("nan"))
+        if not np.isfinite(row.constant_L):
+            print(f"solver did not converge: residual {row.residual:.3e}",
+                  file=sys.stderr)
+            return EXIT_NONCONVERGENCE
+        print(f"residual={row.residual:.3e} iterations={row.iterations} "
+              f"eta={row.eta_used}", file=sys.stderr)
+        value = row.constant_L
+    print(repr(float(value)))
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"value": float(value), "seed": seed}, f)

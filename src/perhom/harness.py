@@ -40,6 +40,7 @@ from .hjb_solver import (
     ergodic_constant_periodic,
     estimate_Hbar_reference,
     make_grid,
+    theta_extrapolated,
 )
 from .elliptic_solver import (
     ergodic_constant_1d_exact,
@@ -147,14 +148,10 @@ class StudyConfig:
         }
 
 
-def _solver_params(cfg: StudyConfig, delta: float = 0.0) -> SolverParams:
+def _solver_params(cfg: StudyConfig) -> SolverParams:
     s = cfg.solver
-    return SolverParams(
-        delta=delta,
-        cfl_safety=float(s.get("cfl_safety", 0.9)),
-        tol=float(s.get("tol", 1e-8)),
-        max_iter=int(s.get("max_iter", 2_000_000)),
-    )
+    return SolverParams(**{key: kind(s[key]) for key, kind in
+                           (("tol", float), ("max_iter", int)) if key in s})
 
 
 def _constants(cfg: StudyConfig) -> StructuralConstants:
@@ -255,19 +252,11 @@ def _compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> 
                                 H0_c1=cfg.model.get("H0_c1"))
             grid = make_grid(spec.dimension, L, n)
             if cfg.solver.get("dissipation_extrapolation"):
-                # two solves with dissipation theta and 2 theta; linear
-                # extrapolation removes the leading O(theta h) scheme bias
-                th = params.lf_theta or default_theta(per, p, grid)
-                ests = []
-                for mult in (1.0, 2.0):
-                    pp = SolverParams(delta=0.0,
-                                      lf_theta=tuple(mult * t for t in th),
-                                      cfl_safety=params.cfl_safety,
-                                      tol=params.tol,
-                                      max_iter=params.max_iter)
-                    ests.append(ergodic_constant_periodic(per, p, grid, pp))
+                value, ests = theta_extrapolated(
+                    lambda pp: ergodic_constant_periodic(per, p, grid, pp),
+                    params, default_theta(per, p, grid), lambda e: e.value)
                 est = ests[0]
-                est.value = 2.0 * ests[0].value - ests[1].value
+                est.value = value
                 est.residual = max(e.residual for e in ests)
                 est.iterations = sum(e.iterations for e in ests)
             else:

@@ -2,17 +2,19 @@
 operators on tori, d in {1, 2}.
 
 The discretization is Lax-Friedrichs in the gradient and centered second
-differences in the diffusion; the resulting scheme is monotone whenever the
-per-axis dissipation theta dominates |dH/dp| and the CFL condition holds.
-Steady states are found by damped Newton on the discrete stationarity
-system (with explicit pseudo-time marching as a fallback); the returned
-residual is the sup-norm defect of the discrete equation, i.e. the same
-quantity an explicit fixed-point iteration would drive to zero.
+differences in the diffusion.  Beyond an a-priori gradient bound R(x) the
+Hamiltonian is continued linearly, so its slope is bounded, and a
+dissipation theta above that slope makes the scheme monotone at every
+iterate.  Discounted and ergodic cell problems are both solved by one
+Newton (Howard) loop: a delta diagonal closes the discounted system, and a
+border carrying the unknown constant closes the ergodic one.  The returned
+residual is the sup-norm defect of the discrete equation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 import struct
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "solve_delta_problem",
     "ergodic_constant_periodic",
     "estimate_Hbar_reference",
+    "theta_extrapolated",
     "corrector_lipschitz",
     "save_field",
     "load_field",
@@ -98,19 +101,18 @@ class GridField:
 @dataclass
 class SolverParams:
     """delta is the discount (0 for ergodic problems); lf_theta overrides
-    the automatic per-axis dissipation bound."""
+    the automatic per-axis dissipation bound; max_iter bounds the Newton
+    steps of one solve, one sparse linear solve each.  No solve marches in
+    pseudo-time, so there is no time step and no CFL safety factor."""
 
     delta: float = 0.0
     lf_theta: tuple[float, ...] | None = None
-    cfl_safety: float = 0.9
     tol: float = 1e-8
-    max_iter: int = 2_000_000
+    max_iter: int = 500
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
-        if not 0 < self.cfl_safety <= 1:
-            raise ValueError("cfl_safety must lie in (0, 1]")
 
 
 @dataclass
@@ -185,279 +187,186 @@ def _discretize(spec, grid: TorusGrid) -> _GridProblem:
     raise TypeError(f"cannot discretize {type(spec).__name__}")
 
 
+# theta is this factor above the largest slope of the extended Hamiltonian.
+# Margins of 1.1 and 1.25 left a few criterion-4 cells (L = 64) short of
+# convergence; 2.0 converged everywhere but tripled the median error of
+# the seed-0 study rows against the exact H-bar_L (0.07 to 0.21).
+_THETA_MARGIN = 1.5
+
+
 def default_theta(spec, p, grid: TorusGrid) -> tuple[float, ...]:
-    """Per-axis dissipation: 1.1 * c1_max * gamma * (C_corr(|p|+1)+|p|)^(g-1)."""
+    """Per-axis dissipation: _THETA_MARGIN times the largest slope
+    gamma c1^(1/gamma) (V + M)^(1-1/gamma) of the extended Hamiltonian.
+
+    The slope is maximized in closed form, over V in the medium's value
+    range and, for a periodized operator, over every blend weight zeta in
+    [0, 1]; M = max over the same set of c1 |p|^gamma - V bounds
+    max_x H(p, x).  No node is sampled.
+    """
+    base = spec.base if isinstance(spec, PeriodizedHJB) else spec
+    g, a = base.gamma, 1.0 / base.gamma
+    vmin, vmax = base.env.spec.value_range
+    # c1 and the top of V's range at the blend weights zeta = 0 and 1
+    c0, v0, c1, v1 = base.c1, vmax, base.c1, vmax
     if isinstance(spec, PeriodizedHJB):
-        base = spec.base
-        c1_max = max(base.c1, spec.h0_c1)
-    else:
-        base = spec
-        c1_max = base.c1
-    g = base.gamma
-    cc = base.constants.c_corr
-    pn = float(np.linalg.norm(np.atleast_1d(p)))
-    th = 1.1 * c1_max * g * (cc * (pn + 1.0) + pn) ** (g - 1.0)
-    return (th,) * grid.dimension
+        c1, v1 = spec.h0_c1, spec.H0_constant
+    pg = float(np.linalg.norm(np.atleast_1d(p))) ** g
+    w0 = v0 + max(c0 * pg - vmin, c1 * pg - v1)  # V + M at zeta = 0
+    dc, dv = c1 - c0, v1 - v0
+    # the log of the slope, a ln(c0 + z dc) + (1 - a) ln(w0 + z dv), is
+    # concave in z: it peaks at an end or at its stationary point
+    zs = [0.0, 1.0]
+    if dc * dv != 0.0:
+        zs.append(min(1.0, max(0.0, -(a * dc * w0 + (1.0 - a) * dv * c0)
+                               / (dc * dv))))
+    slope = max(g * (c0 + z * dc) ** a * (w0 + z * dv) ** (1.0 - a)
+                for z in zs)
+    return (_THETA_MARGIN * slope,) * grid.dimension
 
 
-def _operator(prob: _GridProblem, u: np.ndarray, p, theta) -> np.ndarray:
-    """H-hat(D-u, D+u, x) - tr(a D^2 u) on the grid (vectorized)."""
-    g = prob.grid
-    d = g.dimension
-    hs = g.spacings
+def _gradient_cap(prob: _GridProblem, p, theta) -> np.ndarray:
+    """Gradient bound R(x) = ((V + max_y H(p, y)) / c1)^(1/gamma) per node:
+    first-order cell and discounted solutions have H(p + Du, x) = c (or
+    -delta u) <= max_y H(p, y).  R is capped so that the extension's slope
+    c1 gamma R^(gamma-1) stays <= min(theta) / _THETA_MARGIN, which keeps
+    the scheme monotone for any theta, a caller's ``lf_theta`` included."""
+    g = prob.gamma
+    pg = float(np.linalg.norm(np.atleast_1d(p))) ** g
+    M = float(np.max(prob.c1 * pg - prob.V))
+    R = ((prob.V + M) / prob.c1) ** (1.0 / g)
+    cap = (min(theta) / (_THETA_MARGIN * g * prob.c1)) ** (1.0 / (g - 1.0))
+    return np.minimum(R, cap)
+
+
+def _extended_H(prob: _GridProblem, r: np.ndarray, R: np.ndarray):
+    """c1 r^gamma - V for r = |q| <= R, continued linearly beyond R with
+    matching value and slope (convex and C^1); returns (H, dH/dr)."""
+    s = np.minimum(r, R)
+    slope = prob.gamma * prob.c1 * s ** (prob.gamma - 1.0)
+    return prob.c1 * s ** prob.gamma + slope * (r - s) - prob.V, slope
+
+
+def _stencil(prob: _GridProblem, u: np.ndarray, p, theta):
+    """Per axis: u at i+1 and i-1, the centred momentum p_i + (D+u + D-u)/2
+    and the coefficient (a_i + theta_i h_i / 2) / h_i^2 of the second
+    difference, which the Lax-Friedrichs term theta_i (D+u - D-u)/2 is
+    too; and the norm of the centred momentum."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    sq = np.zeros_like(u)
-    lf = np.zeros_like(u)
-    diff = np.zeros_like(u)
-    for i in range(d):
-        up = np.roll(u, -1, axis=i)
-        um = np.roll(u, 1, axis=i)
-        dp = (up - u) / hs[i]
-        dm = (u - um) / hs[i]
-        pm = p[i] + 0.5 * (dp + dm)
-        sq += pm * pm
-        lf += 0.5 * theta[i] * (dp - dm)
-        diff += prob.a[i] * (up - 2.0 * u + um) / hs[i] ** 2
-    norm = np.sqrt(sq)
-    return prob.c1 * norm ** prob.gamma - prob.V - lf - diff
+    axes = []
+    for i, h in enumerate(prob.grid.spacings):
+        up, um = np.roll(u, -1, axis=i), np.roll(u, 1, axis=i)
+        axes.append((up, um, p[i] + (up - um) / (2.0 * h),
+                     (prob.a[i] + 0.5 * theta[i] * h) / h ** 2))
+    return axes, np.sqrt(sum(q * q for _, _, q, _ in axes))
 
 
-def pseudo_time_step(prob: _GridProblem, u: np.ndarray, p, theta, dt: float,
-                     delta: float = 0.0, c: float = 0.0) -> np.ndarray:
-    """One explicit update u - dt (delta u + H-hat - tr(a D^2 u) - c)."""
-    return u - dt * (delta * u + _operator(prob, u, p, theta) - c)
+def _operator(prob: _GridProblem, u: np.ndarray, p, theta,
+              R: np.ndarray) -> np.ndarray:
+    """H-hat(D-u, D+u, x) - tr(a D^2 u) on the grid (vectorized), with H
+    extended linearly beyond the gradient cap R."""
+    axes, r = _stencil(prob, u, p, theta)
+    out = _extended_H(prob, r, R)[0]
+    for up, um, _, k in axes:
+        out = out - k * (up - 2.0 * u + um)
+    return out
 
 
-def stable_dt(prob: _GridProblem, theta, delta: float, cfl_safety: float) -> float:
-    hs = prob.grid.spacings
-    rate = delta
-    for i in range(prob.grid.dimension):
-        rate += theta[i] / hs[i] + 2.0 * float(prob.a[i].max()) / hs[i] ** 2
-    return cfl_safety / rate
+def _jacobian(prob: _GridProblem, u: np.ndarray, p, theta, R: np.ndarray,
+              delta: float):
+    """Sparse Jacobian of delta*u + ``_operator`` in the node values.
 
-
-def _jacobian(prob: _GridProblem, u: np.ndarray, p, theta, delta: float):
-    """Sparse Jacobian of delta*u + H-hat - diffusion w.r.t. the node values."""
-    g = prob.grid
-    d = g.dimension
-    hs = g.spacings
+    Off the diagonal every entry is +-dH/dq_i / (2 h_i) - (a_i + theta_i h_i
+    / 2) / h_i^2 < 0, since the extension keeps |dH/dq_i| below theta_i:
+    the scheme is monotone.
+    """
     n = u.size
-    shape = g.shape
-    idx = np.arange(n).reshape(shape)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-
-    pm_axes = []
-    sq = np.zeros(shape)
-    for i in range(d):
-        up = np.roll(u, -1, axis=i)
-        um = np.roll(u, 1, axis=i)
-        pm = p[i] + 0.5 * ((up - u) / hs[i] + (u - um) / hs[i])
-        pm_axes.append(pm)
-        sq += pm * pm
-    norm = np.maximum(np.sqrt(sq), 1e-12)
-    # dH/d|pm_i| with |q|^(gamma-2) regularized at the kink for gamma < 2
-    fac = prob.c1 * prob.gamma * norm ** (prob.gamma - 2.0)
-
-    rows, cols, vals = [], [], []
-    diag = np.full(shape, delta)
-    for i in range(d):
-        hp = fac * pm_axes[i] / (2.0 * hs[i])
-        off_p = hp - 0.5 * theta[i] / hs[i] - prob.a[i] / hs[i] ** 2
-        off_m = -hp - 0.5 * theta[i] / hs[i] - prob.a[i] / hs[i] ** 2
-        diag += theta[i] / hs[i] + 2.0 * prob.a[i] / hs[i] ** 2
-        rows.append(idx.ravel())
-        cols.append(np.roll(idx, -1, axis=i).ravel())
-        vals.append(off_p.ravel())
-        rows.append(idx.ravel())
-        cols.append(np.roll(idx, 1, axis=i).ravel())
-        vals.append(off_m.ravel())
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
-    return sp.csr_matrix(
+    idx = np.arange(n).reshape(u.shape)
+    axes, r = _stencil(prob, u, p, theta)
+    # dH/dq_i = (dH/dr) q_i / r, and 0 at q = 0 (gamma > 1)
+    fac = _extended_H(prob, r, R)[1] / np.where(r > 0.0, r, 1.0)
+    rows, cols, vals = [idx.ravel()], [idx.ravel()], []
+    diag = np.full(u.shape, delta)
+    for i, ((_, _, q, k), h) in enumerate(zip(axes, prob.grid.spacings)):
+        hq = fac * q / (2.0 * h)
+        diag = diag + 2.0 * k
+        for shift, v in ((-1, hq - k), (1, -hq - k)):
+            rows.append(idx.ravel())
+            cols.append(np.roll(idx, shift, axis=i).ravel())
+            vals.append(v.ravel())
+    vals.insert(0, diag.ravel())
+    return sp.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
 
 
-def _residual_discounted(prob: _GridProblem, u: np.ndarray, p, theta,
-                         delta: float) -> np.ndarray:
-    """delta*u + H-hat - diffusion, evaluated on the mean-centered field.
+def _newton(prob: _GridProblem, p, theta, R: np.ndarray, u: np.ndarray,
+            delta: float, tol: float, max_steps: int):
+    """Full Newton (Howard) steps on the discrete cell equation, until the
+    residual is <= tol or non-finite, or after ``max_steps`` steps.
 
-    v^delta carries a constant of size |H-bar|/delta; centering before the
-    finite differences keeps the residual roundoff at the O(1) oscillation
-    scale instead of the 1/delta scale.
+    delta > 0: delta u + H-hat(u) - diffusion = 0; the delta diagonal makes
+    the Jacobian of the monotone, convex scheme an M-matrix, and Howard's
+    algorithm converges from any start.  delta = 0: H-hat(u) - diffusion =
+    c, with c one more unknown and u pinned to 0 at node 0, which borders
+    the singular Jacobian with a column of -1.  Returns (u, c, sup-norm
+    residual history); the Newton steps taken are len(history) - 1.
     """
-    m = float(u.mean())
-    uc = u - m
-    return delta * uc + delta * m + _operator(prob, uc, p, theta)
-
-
-def _newton_discounted(prob: _GridProblem, p, theta, params: SolverParams,
-                       u0: np.ndarray | None = None):
-    """Damped Newton for delta*u + H-hat - diffusion = 0."""
-    delta = params.delta
-    u = np.zeros(prob.grid.shape) if u0 is None else u0.copy()
-    dt = stable_dt(prob, theta, delta, params.cfl_safety)
+    shape, n = u.shape, u.size
+    c = 0.0
+    if delta == 0.0:
+        u = u - u.flat[0]
+        c = float(np.mean(_operator(prob, u, p, theta, R)))
+        border = sp.csc_matrix(-np.ones((n, 1)))
     history = []
-    iters = 0
-    # kinked (flat-spot) solutions can force hundreds of short damped
-    # steps before the active set settles and Newton turns quadratic
-    for _ in range(5000):
-        r = _residual_discounted(prob, u, p, theta, delta)
-        res = float(np.max(np.abs(r)))
-        history.append(res)
-        if res <= params.tol:
-            return u, res, iters, history
-        J = _jacobian(prob, u, p, theta, delta)
-        du = spla.spsolve(J, r.ravel()).reshape(prob.grid.shape)
-        step = 1.0
-        improved = False
-        while step >= 2.0 ** -20:
-            u_new = u - step * du
-            r_new = _residual_discounted(prob, u_new, p, theta, delta)
-            if float(np.max(np.abs(r_new))) < res * (1.0 - 1e-4 * step) or \
-                    float(np.max(np.abs(r_new))) <= params.tol:
-                u = u_new
-                improved = True
-                break
-            step *= 0.5
-        iters += 1
-        if not improved:
-            # fall back to explicit marching to escape a bad linearization
-            u_good = u.copy()
-            for _ in range(500):
-                u = pseudo_time_step(prob, u, p, theta, dt, delta=delta)
-                if not np.all(np.isfinite(u)):
-                    u, dt = u_good.copy(), 0.5 * dt
-                else:
-                    u_good = u
-            iters += 500
-        if iters > params.max_iter:
-            break
-    r = _residual_discounted(prob, u, p, theta, delta)
-    res = float(np.max(np.abs(r)))
-    history.append(res)
-    if not res <= params.tol:
-        raise NonConvergenceError(
-            f"discounted solve stalled at residual {res:.3e}", history)
-    return u, res, iters, history
+    while True:
+        # v^delta carries a constant of size |H-bar|/delta; centering before
+        # the finite differences keeps the residual roundoff at the O(1)
+        # oscillation scale instead of the 1/delta scale
+        m = float(u.mean())
+        r = delta * (u - m) + delta * m - c + \
+            _operator(prob, u - m, p, theta, R)
+        history.append(float(np.max(np.abs(r))))
+        if history[-1] <= tol or len(history) > max_steps or \
+                not np.isfinite(history[-1]):
+            return u, c, history
+        J = _jacobian(prob, u, p, theta, R, delta)
+        if delta > 0.0:
+            u = u - spla.spsolve(J, r.ravel()).reshape(shape)
+        else:
+            w = spla.spsolve(sp.hstack([J[:, 1:], border], format="csc"),
+                             r.ravel())
+            u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
+            c -= float(w[-1])
 
 
 def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridField:
     """Approximate corrector: delta v - tr(A D^2 v) + H(Dv + p, x) = 0.
 
-    Returns the grid field with ``info`` carrying residual and iteration
-    metadata.  Raises NonConvergenceError when the tolerance is out of
-    reach within the iteration budget.
+    Returns the grid field with ``info`` carrying residual, Newton steps,
+    theta and ``nodes_above_cap``.  Raises NonConvergenceError when the
+    tolerance is out of reach within ``max_iter`` Newton steps.
     """
     if params.delta <= 0:
         raise ValueError("solve_delta_problem needs delta > 0")
     prob = _discretize(spec, grid)
     theta = params.lf_theta or default_theta(spec, p, grid)
-    u, res, iters, history = _newton_discounted(prob, p, theta, params)
+    R = _gradient_cap(prob, p, theta)
+    u, _, history = _newton(prob, p, theta, R, np.zeros(grid.shape),
+                            params.delta, params.tol, params.max_iter)
+    res = history[-1]
+    if not res <= params.tol:
+        raise NonConvergenceError(
+            f"discounted solve stalled at residual {res:.3e}", history)
     bound = float(np.max(np.abs(prob.c1 * np.linalg.norm(np.atleast_1d(p))
                                 ** prob.gamma - prob.V))) / params.delta
     if float(np.max(np.abs(u))) > 1.01 * bound + params.tol / params.delta:
         raise NonConvergenceError("discounted solution violates the sup bound",
                                   history)
     return GridField(grid=grid, values=u,
-                     info={"residual": res, "iterations": iters,
-                           "theta": tuple(theta), "delta": params.delta})
-
-
-def _newton_ergodic(prob: _GridProblem, p, theta, params: SolverParams,
-                    u0: np.ndarray | None = None):
-    """Damped Newton on the stationarity system H-hat - diffusion = c with
-    the corrector pinned to zero at node 0.
-
-    This accelerates relative value iteration: the returned (corrector,
-    value) pair is exactly what the explicit RVI update converges to, with
-    the same residual contract.
-    """
-    g = prob.grid
-    n = int(np.prod(g.shape))
-    u = np.zeros(g.shape) if u0 is None else u0.copy()
-    u = u - u.ravel()[0]
-    dt = stable_dt(prob, theta, 0.0, params.cfl_safety)
-    # explicit RVI prelude to land in the Newton basin
-    c = 0.0
-    u_good = u.copy()
-    for _ in range(30):
-        r = _operator(prob, u, p, theta)
-        c = float(np.mean(r))
-        u = u - dt * (r - c)
-        u = u - u.ravel()[0]
-        if not np.all(np.isfinite(u)):
-            # transient gradients can exceed the hull theta was sized for,
-            # breaking monotonicity; a smaller step restores stability
-            u, dt = u_good.copy(), 0.5 * dt
-        else:
-            u_good = u.copy()
-    history = []
-    iters = 30
-    keep = np.arange(1, n)
-    for _ in range(2000):
-        r = _operator(prob, u, p, theta) - c
-        res = float(np.max(np.abs(r)))
-        history.append(res)
-        if res <= params.tol:
-            return u, c, res, iters, history
-        J = _jacobian(prob, u, p, theta, 0.0)
-        Ju = J[:, keep]
-        Jc = sp.csr_matrix(-np.ones((n, 1)))
-        A = sp.hstack([Ju, Jc], format="csc")
-        dw = spla.spsolve(A, r.ravel())
-        du = np.zeros(n)
-        du[1:] = dw[:-1]
-        dc = dw[-1]
-        step = 1.0
-        improved = False
-        while step >= 2.0 ** -20:
-            u_new = u - step * du.reshape(g.shape)
-            c_new = c - step * dc
-            r_new = _operator(prob, u_new, p, theta) - c_new
-            if float(np.max(np.abs(r_new))) < res * (1.0 - 1e-4 * step) or \
-                    float(np.max(np.abs(r_new))) <= params.tol:
-                u, c = u_new, c_new
-                improved = True
-                break
-            step *= 0.5
-        iters += 1
-        if not improved:
-            # Newton can stall when the corrector is non-unique (flat-spot
-            # momenta make the pinned system nearly singular); relative
-            # value iteration still converges, so march explicitly in
-            # chunks until tolerance or the retry budget runs out.
-            chunk = 1000
-            u_good, c_good = u.copy(), c
-            res_good = res
-            for _ in range(50):
-                for _ in range(chunk):
-                    r = _operator(prob, u, p, theta)
-                    c = float(np.mean(r))
-                    u = u - dt * (r - c)
-                    u = u - u.ravel()[0]
-                iters += chunk
-                r = _operator(prob, u, p, theta) - c
-                res_chunk = float(np.max(np.abs(r)))
-                if not np.isfinite(res_chunk) or res_chunk > 10.0 * res_good:
-                    # marching went unstable (gradients left the hull theta
-                    # was sized for): back off to the last good state with a
-                    # smaller step, which keeps the same fixed point
-                    u, c, dt = u_good.copy(), c_good, 0.5 * dt
-                    continue
-                u_good, c_good, res_good = u.copy(), c, res_chunk
-                if res_chunk <= params.tol or iters > params.max_iter:
-                    break
-        if iters > params.max_iter:
-            break
-    r = _operator(prob, u, p, theta) - c
-    res = float(np.max(np.abs(r)))
-    history.append(res)
-    if not res <= params.tol:
-        raise NonConvergenceError(
-            f"ergodic solve stalled at residual {res:.3e}", history)
-    return u, c, res, iters, history
+                     info={"residual": res, "iterations": len(history) - 1,
+                           "theta": tuple(theta), "delta": params.delta,
+                           "nodes_above_cap": int(np.count_nonzero(
+                               _stencil(prob, u, p, theta)[1] > R))})
 
 
 def corrector_lipschitz(fld: GridField) -> float:
@@ -476,7 +385,18 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
     -tr(A_L D^2 chi) + H_L(D chi + p, x) = c; the returned value is c
     (the H-bar-side constant).
 
-    The corrector is normalized to zero at node 0 (spatial origin).
+    The corrector is normalized to zero at node 0 (spatial origin).  The
+    Newton loop runs twice on the same monotone scheme: a discounted solve
+    with delta = 1 from ``init`` (zero by default), which Howard's
+    algorithm solves from any start, then the bordered ergodic system from
+    where it stopped.  ``iterations`` counts the Newton steps of both.
+
+    ``info["nodes_above_cap"]`` counts the nodes whose converged centred
+    gradient exceeds the cap R(x), where H is replaced by its linear
+    extension.  For first-order cells this leaves the constant unchanged:
+    the extension equals H on {H <= max_x H(p, x)} and H-bar(p) <=
+    max_x H(p, x).  For viscous cells R is not a proven bound, and the
+    count shows how far the solution reaches past it.
     """
     if isinstance(prob, PeriodizedHJB):
         for per in grid.periods:
@@ -484,13 +404,39 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
                 raise ValueError("grid period must equal L")
     gprob = _discretize(prob, grid)
     theta = params.lf_theta or default_theta(prob, p, grid)
-    u, c, res, iters, _ = _newton_ergodic(gprob, p, theta, params, u0=init)
+    R = _gradient_cap(gprob, p, theta)
+    u = np.zeros(grid.shape) if init is None else np.reshape(init, grid.shape)
+    u, _, warmup = _newton(gprob, p, theta, R, u, 1.0, params.tol,
+                           params.max_iter)
+    u, c, history = _newton(gprob, p, theta, R, u, 0.0, params.tol,
+                            params.max_iter - (len(warmup) - 1))
+    res = history[-1]
+    if not res <= params.tol:
+        raise NonConvergenceError(
+            f"ergodic solve stalled at residual {res:.3e}", warmup + history)
     fld = GridField(grid=grid, values=u, info={"residual": res})
     return ErgodicEstimate(
-        value=c, residual=res, iterations=iters, corrector=fld,
-        lipschitz_estimate=corrector_lipschitz(fld),
-        converged=res <= params.tol,
-        info={"theta": tuple(theta)})
+        value=c, residual=res, iterations=len(warmup) + len(history) - 2,
+        corrector=fld, lipschitz_estimate=corrector_lipschitz(fld),
+        converged=True,
+        info={"theta": tuple(theta),
+              "nodes_above_cap": int(np.count_nonzero(
+                  _stencil(gprob, u, p, theta)[1] > R))})
+
+
+def theta_extrapolated(solve, params: SolverParams, theta, value):
+    """Dissipation extrapolation: run ``solve(params)`` with dissipation
+    theta and 2 theta, and extrapolate ``value`` of the two results
+    linearly to theta = 0.
+
+    The leading scheme error is the Lax-Friedrichs dissipation, linear in
+    theta, so this removes the O(theta h) bias that otherwise dominates on
+    flat spots of the effective Hamiltonian.  Returns (extrapolated value,
+    [result at theta, result at 2 theta]).
+    """
+    results = [solve(replace(params, lf_theta=tuple(m * t for t in theta)))
+               for m in (1.0, 2.0)]
+    return 2.0 * value(results[0]) - value(results[1]), results
 
 
 def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
@@ -507,11 +453,7 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     only flagged in ``info``, not fatal.
 
     With ``dissipation_extrapolation`` each discounted problem is solved
-    twice, with dissipation theta and 2 theta, and the two values are
-    extrapolated linearly to theta = 0.  The leading scheme error is the
-    Lax-Friedrichs dissipation, linear in theta, so this removes the O(h)
-    bias that otherwise dominates on flat spots of the effective
-    Hamiltonian.
+    twice, with dissipation theta and 2 theta (``theta_extrapolated``).
     """
     deltas = [float(d) for d in delta_seq]
     if len(deltas) < 2 or any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -521,26 +463,23 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     grid = make_grid(d, box, n)
     small_box = box < box_multiplier / deltas[-1]
     theta0 = params.lf_theta or default_theta(spec, p, grid)
+    solve = partial(solve_delta_problem, spec, p, grid)
+
+    def read(fld):  # -delta v(0)
+        return -fld.info["delta"] * float(fld.values.ravel()[0])
+
     vals = []
     total_iters = 0
-    last = None
     for dl in deltas:
-        per_theta = []
-        mults = (1.0, 2.0) if dissipation_extrapolation else (1.0,)
-        for mult in mults:
-            pp = SolverParams(delta=dl,
-                              lf_theta=tuple(mult * t for t in theta0),
-                              cfl_safety=params.cfl_safety, tol=params.tol,
-                              max_iter=params.max_iter)
-            fld = solve_delta_problem(spec, p, grid, pp)
-            total_iters += fld.info["iterations"]
-            per_theta.append(-dl * float(fld.values.ravel()[0]))
-            if mult == 1.0:
-                last = fld
+        pd = replace(params, delta=dl, lf_theta=theta0)
         if dissipation_extrapolation:
-            vals.append(2.0 * per_theta[0] - per_theta[1])
+            v, flds = theta_extrapolated(solve, pd, theta0, read)
         else:
-            vals.append(per_theta[0])
+            flds = [solve(pd)]
+            v = read(flds[0])
+        vals.append(v)
+        total_iters += sum(f.info["iterations"] for f in flds)
+        last = flds[0]
     extrap = []
     for (da, va), (db, vb) in zip(zip(deltas, vals), zip(deltas[1:], vals[1:])):
         extrap.append((vb * da - va * db) / (da - db))

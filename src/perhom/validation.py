@@ -18,7 +18,8 @@ import numpy as np
 from .environment import EnvSpec, eval_potential, sample_env, shift_env
 from .model import HamiltonianSpec, StructuralConstants
 from .periodize import CutoffProfile, choose_H0_constant, eval_cutoff
-from .hjb_solver import SolverParams, _discretize, _operator, default_theta, make_grid
+from .hjb_solver import (_discretize, _gradient_cap, _operator, default_theta,
+                         make_grid)
 from .oracle import hbar_1d_first_order
 from . import harness
 
@@ -69,6 +70,7 @@ def _monotonicity_audit(trials: int = 1000) -> tuple[bool, str]:
     prob = _discretize(spec, grid)
     p = np.array([1.0])
     theta = default_theta(spec, p, grid)
+    R = _gradient_cap(prob, p, theta)
     rng = np.random.default_rng(0)
     n = grid.ns[0]
     x = grid.axes()[0]
@@ -82,10 +84,10 @@ def _monotonicity_audit(trials: int = 1000) -> tuple[bool, str]:
             amp = rng.uniform(-1.0, 1.0) * L / (2.0 * math.pi * k * 3.0) * 2.0
             u += amp * np.sin(2.0 * math.pi * k * x / L + rng.uniform(0, 2 * math.pi))
         j = int(rng.integers(0, n))
-        base = _operator(prob, u, p, theta)
+        base = _operator(prob, u, p, theta, R)
         u2 = u.copy()
         u2[j] += eps
-        bumped = _operator(prob, u2, p, theta)
+        bumped = _operator(prob, u2, p, theta, R)
         # raising one node must not raise the operator at any other node
         other = np.arange(n) != j
         if np.any(bumped[other] > base[other] + 1e-10):

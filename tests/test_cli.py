@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from perhom import hbar_1d_first_order, load_field
+from perhom import (StudyConfig, hbar_1d_first_order, load_field,
+                    run_convergence_study)
 from perhom.cli import main
 
 
@@ -111,6 +112,18 @@ def test_hbar_l_value_and_json_out(capsys, tmp_path):
     assert abs(value - hbar_1d_first_order(V, 1.0, 2.0, 2.5)) <= 0.3
 
 
+def test_hbar_l_prints_the_study_row(capsys, tmp_path):
+    # hbar-l and a study row share one row path, dissipation extrapolation
+    # included
+    cfg = _hjb_config(tmp_path, solver={"tol": 1e-8,
+                                        "dissipation_extrapolation": True})
+    assert main(["hbar-l", "--config", cfg]) == 0
+    value = float(capsys.readouterr().out.strip())
+    with open(cfg) as f:
+        (row,) = run_convergence_study(StudyConfig.from_json(json.load(f))).rows
+    assert value == row.constant_L
+
+
 def test_fbar_and_fbar_l(capsys, tmp_path):
     cfg = _elliptic_config(tmp_path)
     assert main(["fbar", "--config", cfg]) == 0
@@ -120,6 +133,7 @@ def test_fbar_and_fbar_l(capsys, tmp_path):
     assert main(["fbar-l", "--config", cfg]) == 0
     per = float(capsys.readouterr().out.strip())
     assert abs(per - ref) <= 0.1
+    assert main(["hbar-l", "--config", cfg]) == 1  # not an HJB model
 
 
 def test_tol_flag_forces_nonconvergence_exit_2(capsys, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,3 +223,54 @@ def test_nonconvergence_produces_flagged_row():
     res = run_convergence_study(cfg)
     assert any(math.isnan(r.constant_L) and r.iterations == -1
                for r in res.rows)
+
+
+def _checkerboard_study(seeds, L_list, p_list):
+    """The criterion-4 study config, restricted to some of its cells."""
+    return StudyConfig.from_json({
+        "env": {"kind": "checkerboard", "dimension": 1,
+                "value_range": [0.0, 3.0], "cell_size": 1.0,
+                "mollify_radius": 0.25},
+        "model": {"type": "hjb", "c1": 1.0, "gamma": 2.0,
+                  "constants": {"c_struct": 4.0, "gamma": 2.0,
+                                "c_corr": 2.0}},
+        "p_list": p_list, "L_list": L_list, "seeds": seeds,
+        "eta_mode": {"mode": "fixed", "value": 0.1},
+        "solver": {"tol": 1e-8, "dissipation_extrapolation": True},
+        "reference": {"method": "oracle", "box": 256.0, "quad_N": 2048},
+        "nodes_per_unit": 16,
+    })
+
+
+@pytest.mark.parametrize("seeds, L_list, p_list", [
+    ([4, 6], [64.0], [1.0]),  # NaN rows under the former explicit marching
+    ([0], [8.0, 16.0, 32.0, 64.0], [0.0]),  # its overflow warnings
+])
+def test_checkerboard_cells_converge_inside_node_bracket(
+        monkeypatch, seeds, L_list, p_list):
+    from perhom import harness
+    from perhom.hjb_solver import _discretize
+    cells = []
+    solve = harness.ergodic_constant_periodic
+
+    def spy(spec, p, grid, params):
+        est = solve(spec, p, grid, params)
+        cells.append((spec, p, grid, params, est))
+        return est
+
+    monkeypatch.setattr(harness, "ergodic_constant_periodic", spy)
+    cfg = _checkerboard_study(seeds, L_list, p_list)
+    tol = cfg.solver["tol"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run_convergence_study(cfg).rows
+    assert len(rows) == len(seeds) * len(L_list)
+    for r in rows:
+        assert math.isfinite(r.constant_L) and r.residual <= tol
+    # a monotone scheme's constant lies between min and max over the nodes
+    # of H_L(p, x), for the theta and the 2 theta solve alike
+    assert len(cells) == 2 * len(rows)
+    for spec, p, grid, params, est in cells:
+        prob = _discretize(spec, grid)
+        H = prob.c1 * abs(p) ** prob.gamma - prob.V
+        assert H.min() - 10 * tol <= est.value <= H.max() + 10 * tol

@@ -72,27 +72,31 @@ def test_lf_flux_monotone():
 
 def test_scheme_monotone_under_node_bump():
     # bumping one node value must not increase the discrete operator at any
-    # other node (monotone scheme), for the blended cosine operator
-    from perhom.hjb_solver import _discretize, _operator, default_theta
+    # other node (monotone scheme), for the blended cosine operator; the
+    # linear extension beyond the gradient cap keeps this for steep u too
+    from perhom.hjb_solver import (_discretize, _gradient_cap, _operator,
+                                   default_theta)
     base = _cosine_base()
     per = periodize_hjb(base, L=4.0, eta=0.25)
     grid = make_grid(1, 4.0, 64)
     prob = _discretize(per, grid)
     theta = default_theta(per, (1.0,), grid)
+    R = _gradient_cap(prob, (1.0,), theta)
     rng = np.random.default_rng(1)
     xs = grid.axes()[0]
-    for _ in range(200):
-        coeffs = rng.uniform(-1, 1, 3)
-        u = sum(c * np.sin(2 * np.pi * (k + 1) * xs / 4.0)
-                for k, c in enumerate(coeffs)) / 6.0
-        r0 = _operator(prob, u, (1.0,), theta)
-        j = rng.integers(0, 64)
-        u2 = u.copy()
-        u2[j] += 1e-3
-        r1 = _operator(prob, u2, (1.0,), theta)
-        mask = np.ones(64, bool)
-        mask[j] = False
-        assert np.all(r1[mask] <= r0[mask] + 1e-13)
+    for scale in (1.0 / 6.0, 20.0):
+        for _ in range(200):
+            coeffs = rng.uniform(-1, 1, 3)
+            u = sum(c * np.sin(2 * np.pi * (k + 1) * xs / 4.0)
+                    for k, c in enumerate(coeffs)) * scale
+            r0 = _operator(prob, u, (1.0,), theta, R)
+            j = rng.integers(0, 64)
+            u2 = u.copy()
+            u2[j] += 1e-3
+            r1 = _operator(prob, u2, (1.0,), theta, R)
+            mask = np.ones(64, bool)
+            mask[j] = False
+            assert np.all(r1[mask] <= r0[mask] + 1e-13)
 
 
 def test_constant_medium_exact_value():
