@@ -40,7 +40,7 @@ from .hjb_solver import (
     ergodic_constant_periodic,
     estimate_Hbar_reference,
     make_grid,
-    theta_extrapolated,
+    _theta_extrapolated,
 )
 from .elliptic_solver import (
     ergodic_constant_1d_exact,
@@ -252,24 +252,23 @@ def _compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> 
                                 H0_c1=cfg.model.get("H0_c1"))
             grid = make_grid(spec.dimension, L, n)
             if cfg.solver.get("dissipation_extrapolation"):
-                value, ests = theta_extrapolated(
+                value, ests = _theta_extrapolated(
                     lambda pp: ergodic_constant_periodic(per, p, grid, pp),
                     params, default_theta(per, p, grid), lambda e: e.value)
-                est = ests[0]
-                est.value = value
-                est.residual = max(e.residual for e in ests)
-                est.iterations = sum(e.iterations for e in ests)
             else:
-                est = ergodic_constant_periodic(per, p, grid, params)
+                ests = [ergodic_constant_periodic(per, p, grid, params)]
+                value = ests[0].value
         else:
             spec = _elliptic_spec(cfg, seed)
             per = periodize_elliptic(spec, L, eta,
                                      f0_coeff=cfg.model.get("f0_coeff"))
             grid = make_grid(spec.dimension, L, n)
             P = np.atleast_2d(np.asarray(p, dtype=float))
-            est = ergodic_constant_periodic_elliptic(per, P, grid, params)
-        value, residual = est.value, est.residual
-        iters, lip = est.iterations, est.lipschitz_estimate
+            ests = [ergodic_constant_periodic_elliptic(per, P, grid, params)]
+            value = ests[0].value
+        residual = max(e.residual for e in ests)
+        iters = sum(e.iterations for e in ests)
+        lip = ests[0].lipschitz_estimate
     except NonConvergenceError as exc:
         value = float("nan")
         residual = exc.history[-1] if exc.history else float("inf")

@@ -2,9 +2,9 @@
 operators on tori, d in {1, 2}.
 
 The discretization is Lax-Friedrichs in the gradient and centered second
-differences in the diffusion.  Beyond an a-priori gradient bound R(x) the
-Hamiltonian is continued linearly, so its slope is bounded, and a
-dissipation theta above that slope makes the scheme monotone at every
+differences in the diffusion.  Beyond the gradient R(x) at which its
+slope reaches theta / 1.5 the Hamiltonian is continued linearly, so the
+dissipation theta dominates the slope and the scheme is monotone at every
 iterate.  Discounted and ergodic cell problems are both solved by one
 Newton (Howard) loop: a delta diagonal closes the discounted system, and a
 border carrying the unknown constant closes the ergodic one.  The returned
@@ -35,7 +35,6 @@ __all__ = [
     "solve_delta_problem",
     "ergodic_constant_periodic",
     "estimate_Hbar_reference",
-    "theta_extrapolated",
     "corrector_lipschitz",
     "save_field",
     "load_field",
@@ -102,8 +101,8 @@ class GridField:
 class SolverParams:
     """delta is the discount (0 for ergodic problems); lf_theta overrides
     the automatic per-axis dissipation bound; max_iter bounds the Newton
-    steps of one solve, one sparse linear solve each.  No solve marches in
-    pseudo-time, so there is no time step and no CFL safety factor."""
+    steps of each phase of a solve, one sparse linear solve each.  Nothing
+    marches in pseudo-time, so there is no CFL safety factor."""
 
     delta: float = 0.0
     lf_theta: tuple[float, ...] | None = None
@@ -187,16 +186,17 @@ def _discretize(spec, grid: TorusGrid) -> _GridProblem:
     raise TypeError(f"cannot discretize {type(spec).__name__}")
 
 
-# theta is this factor above the largest slope of the extended Hamiltonian.
-# Margins of 1.1 and 1.25 left a few criterion-4 cells (L = 64) short of
-# convergence; 2.0 converged everywhere but tripled the median error of
-# the seed-0 study rows against the exact H-bar_L (0.07 to 0.21).
+# theta is this factor above the slope of H at the first-order gradient
+# bound, and the cap keeps every slope this factor below theta.  1.25 left
+# 3 of the 192 criterion-4 rows (L = 64) unconverged; 2.0 raised the
+# median row error at every L (0.17 to 0.26 at L = 64).
 _THETA_MARGIN = 1.5
 
 
 def default_theta(spec, p, grid: TorusGrid) -> tuple[float, ...]:
     """Per-axis dissipation: _THETA_MARGIN times the largest slope
-    gamma c1^(1/gamma) (V + M)^(1-1/gamma) of the extended Hamiltonian.
+    gamma c1^(1/gamma) (V + M)^(1-1/gamma) of H at the first-order
+    gradient bound ((V + M) / c1)^(1/gamma).
 
     The slope is maximized in closed form, over V in the medium's value
     range and, for a periodized operator, over every blend weight zeta in
@@ -224,18 +224,14 @@ def default_theta(spec, p, grid: TorusGrid) -> tuple[float, ...]:
     return (_THETA_MARGIN * slope,) * grid.dimension
 
 
-def _gradient_cap(prob: _GridProblem, p, theta) -> np.ndarray:
-    """Gradient bound R(x) = ((V + max_y H(p, y)) / c1)^(1/gamma) per node:
-    first-order cell and discounted solutions have H(p + Du, x) = c (or
-    -delta u) <= max_y H(p, y).  R is capped so that the extension's slope
-    c1 gamma R^(gamma-1) stays <= min(theta) / _THETA_MARGIN, which keeps
-    the scheme monotone for any theta, a caller's ``lf_theta`` included."""
+def _gradient_cap(prob: _GridProblem, theta) -> np.ndarray:
+    """Per-node cap R(x) where the slope c1 gamma R^(gamma-1) of H reaches
+    min(theta) / _THETA_MARGIN; beyond it H is continued linearly, which
+    keeps the scheme monotone for any theta (a caller's ``lf_theta``
+    too).  The default theta puts R at or past the first-order bound
+    ((V + max_y H(p, y)) / c1)^(1/gamma) at every node."""
     g = prob.gamma
-    pg = float(np.linalg.norm(np.atleast_1d(p))) ** g
-    M = float(np.max(prob.c1 * pg - prob.V))
-    R = ((prob.V + M) / prob.c1) ** (1.0 / g)
-    cap = (min(theta) / (_THETA_MARGIN * g * prob.c1)) ** (1.0 / (g - 1.0))
-    return np.minimum(R, cap)
+    return (min(theta) / (_THETA_MARGIN * g * prob.c1)) ** (1.0 / (g - 1.0))
 
 
 def _extended_H(prob: _GridProblem, r: np.ndarray, R: np.ndarray):
@@ -350,7 +346,7 @@ def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridF
         raise ValueError("solve_delta_problem needs delta > 0")
     prob = _discretize(spec, grid)
     theta = params.lf_theta or default_theta(spec, p, grid)
-    R = _gradient_cap(prob, p, theta)
+    R = _gradient_cap(prob, theta)
     u, _, history = _newton(prob, p, theta, R, np.zeros(grid.shape),
                             params.delta, params.tol, params.max_iter)
     res = history[-1]
@@ -389,14 +385,16 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
     Newton loop runs twice on the same monotone scheme: a discounted solve
     with delta = 1 from ``init`` (zero by default), which Howard's
     algorithm solves from any start, then the bordered ergodic system from
-    where it stopped.  ``iterations`` counts the Newton steps of both.
+    where it stopped.  ``max_iter`` bounds each; ``iterations`` sums both.
 
     ``info["nodes_above_cap"]`` counts the nodes whose converged centred
-    gradient exceeds the cap R(x), where H is replaced by its linear
-    extension.  For first-order cells this leaves the constant unchanged:
-    the extension equals H on {H <= max_x H(p, x)} and H-bar(p) <=
-    max_x H(p, x).  For viscous cells R is not a proven bound, and the
-    count shows how far the solution reaches past it.
+    gradient passes the cap R(x) of ``_gradient_cap``; with none, c is the
+    constant of the scheme for H itself.  In first-order cells at the
+    default theta or above, R(x) lies past the gradient bound of {H <=
+    max_x H(p, x)} and H-bar(p) <= max_x H(p, x), so the extension leaves
+    the continuum constant unchanged, though Lax-Friedrichs dissipation at
+    convex kinks can still push discrete gradients past R.  In viscous
+    cells, which have no such bound, a larger ``lf_theta`` moves R out.
     """
     if isinstance(prob, PeriodizedHJB):
         for per in grid.periods:
@@ -404,12 +402,12 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
                 raise ValueError("grid period must equal L")
     gprob = _discretize(prob, grid)
     theta = params.lf_theta or default_theta(prob, p, grid)
-    R = _gradient_cap(gprob, p, theta)
+    R = _gradient_cap(gprob, theta)
     u = np.zeros(grid.shape) if init is None else np.reshape(init, grid.shape)
     u, _, warmup = _newton(gprob, p, theta, R, u, 1.0, params.tol,
                            params.max_iter)
     u, c, history = _newton(gprob, p, theta, R, u, 0.0, params.tol,
-                            params.max_iter - (len(warmup) - 1))
+                            params.max_iter)
     res = history[-1]
     if not res <= params.tol:
         raise NonConvergenceError(
@@ -424,7 +422,7 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
                   _stencil(gprob, u, p, theta)[1] > R))})
 
 
-def theta_extrapolated(solve, params: SolverParams, theta, value):
+def _theta_extrapolated(solve, params: SolverParams, theta, value):
     """Dissipation extrapolation: run ``solve(params)`` with dissipation
     theta and 2 theta, and extrapolate ``value`` of the two results
     linearly to theta = 0.
@@ -453,7 +451,7 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     only flagged in ``info``, not fatal.
 
     With ``dissipation_extrapolation`` each discounted problem is solved
-    twice, with dissipation theta and 2 theta (``theta_extrapolated``).
+    twice, with dissipation theta and 2 theta (``_theta_extrapolated``).
     """
     deltas = [float(d) for d in delta_seq]
     if len(deltas) < 2 or any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -473,7 +471,7 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     for dl in deltas:
         pd = replace(params, delta=dl, lf_theta=theta0)
         if dissipation_extrapolation:
-            v, flds = theta_extrapolated(solve, pd, theta0, read)
+            v, flds = _theta_extrapolated(solve, pd, theta0, read)
         else:
             flds = [solve(pd)]
             v = read(flds[0])

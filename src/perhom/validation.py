@@ -70,7 +70,7 @@ def _monotonicity_audit(trials: int = 1000) -> tuple[bool, str]:
     prob = _discretize(spec, grid)
     p = np.array([1.0])
     theta = default_theta(spec, p, grid)
-    R = _gradient_cap(prob, p, theta)
+    R = _gradient_cap(prob, theta)
     rng = np.random.default_rng(0)
     n = grid.ns[0]
     x = grid.axes()[0]

@@ -249,7 +249,7 @@ def _checkerboard_study(seeds, L_list, p_list):
 def test_checkerboard_cells_converge_inside_node_bracket(
         monkeypatch, seeds, L_list, p_list):
     from perhom import harness
-    from perhom.hjb_solver import _discretize
+    from perhom.hjb_solver import _discretize, _gradient_cap
     cells = []
     solve = harness.ergodic_constant_periodic
 
@@ -274,3 +274,8 @@ def test_checkerboard_cells_converge_inside_node_bracket(
         prob = _discretize(spec, grid)
         H = prob.c1 * abs(p) ** prob.gamma - prob.V
         assert H.min() - 10 * tol <= est.value <= H.max() + 10 * tol
+        # the cap lies at or past the first-order gradient bound, so the
+        # extension changes H only where H(p + q, x) > max_y H(p, y), and
+        # the continuum cell constant is that of H itself
+        bound = ((prob.V + H.max()) / prob.c1) ** (1.0 / prob.gamma)
+        assert np.all(_gradient_cap(prob, params.lf_theta) >= bound)

@@ -81,7 +81,7 @@ def test_scheme_monotone_under_node_bump():
     grid = make_grid(1, 4.0, 64)
     prob = _discretize(per, grid)
     theta = default_theta(per, (1.0,), grid)
-    R = _gradient_cap(prob, (1.0,), theta)
+    R = _gradient_cap(prob, theta)
     rng = np.random.default_rng(1)
     xs = grid.axes()[0]
     for scale in (1.0 / 6.0, 20.0):
@@ -209,6 +209,25 @@ def test_corrector_gradient_bound():
                                         SolverParams(tol=1e-8))
         envelope = np.sqrt(3.0 + est.value) + p
         assert est.lipschitz_estimate <= envelope + 0.1
+
+
+@pytest.mark.parametrize("p, expected", [
+    (0.0, -4.716060519669), (1.0, -4.208082774168)])
+def test_viscous_cell_solves_the_true_hamiltonian(p, expected):
+    # a viscous periodized cell whose theta dominates the slope of H at the
+    # solution's gradients: no node passes the cap, so the constant is that
+    # of c1 |q|^2 - V itself, the value of the scheme without an extension
+    sigma = {"slope": 0.1, "offset": 0.2, "lipschitz_cap": 1.2}
+    env = sample_env(EnvSpec(kind="checkerboard", dimension=1,
+                             value_range=(0.0, 3.0), mollify_radius=0.25,
+                             sigma=sigma), 0)
+    cst = StructuralConstants(c_struct=4.0, gamma=2.0, c_corr=2.0)
+    per = periodize_hjb(HamiltonianSpec(env=env, c1=1.0, gamma=2.0,
+                                        constants=cst), L=4.0, eta=0.1)
+    est = ergodic_constant_periodic(per, (p,), make_grid(1, 4.0, 64),
+                                    SolverParams(tol=1e-10, lf_theta=(80.0,)))
+    assert est.info["nodes_above_cap"] == 0
+    assert est.value == pytest.approx(expected, abs=1e-8)
 
 
 def test_nonconvergence_carries_history():
