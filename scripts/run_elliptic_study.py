@@ -38,7 +38,6 @@ def build_config(out_dir: Path) -> StudyConfig:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="results", help="output directory")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads")
     args = ap.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -47,7 +46,7 @@ def main() -> int:
     (out_dir / "elliptic_inv_cos.config.json").write_text(
         json.dumps(cfg.to_json(), indent=2))
 
-    result = run_convergence_study(cfg, threads=args.threads)
+    result = run_convergence_study(cfg)
     emit_csv(result, cfg.out_csv)
     emit_json(result, cfg.out_json)
     print(f"wrote {cfg.out_csv} ({len(result.rows)} rows)")

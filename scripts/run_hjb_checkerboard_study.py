@@ -41,7 +41,6 @@ def main() -> int:
     ap.add_argument("--out-dir", default="results", help="output directory")
     ap.add_argument("--seeds", type=int, default=16, help="number of seeds")
     ap.add_argument("--eta", type=float, default=0.1, help="cutoff width")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads")
     args = ap.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -50,7 +49,7 @@ def main() -> int:
     (out_dir / "hjb_checkerboard.config.json").write_text(
         json.dumps(cfg.to_json(), indent=2))
 
-    result = run_convergence_study(cfg, threads=args.threads)
+    result = run_convergence_study(cfg)
     emit_csv(result, cfg.out_csv)
     emit_json(result, cfg.out_json)
     print(f"wrote {cfg.out_csv} ({len(result.rows)} rows)")

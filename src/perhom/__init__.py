@@ -48,7 +48,6 @@ from .hjb_solver import (
     TorusGrid,
     ergodic_constant_periodic,
     estimate_Hbar_reference,
-    lf_numerical_hamiltonian,
     load_field,
     make_grid,
     save_field,

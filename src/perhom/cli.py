@@ -61,7 +61,6 @@ def _build_parser() -> _Parser:
                        help="JSON config path (CSV path for rate-fit)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--threads", type=int, default=1, help="worker count")
         p.add_argument("--tol", type=float, default=None,
                        help="solver tolerance override")
         return p
@@ -116,10 +115,8 @@ def _single_shot(args, kind: str, periodized: bool) -> int:
     seed = cfg.seeds[0]
     p = cfg.p_list[0]
     if not periodized:
-        if kind == "hjb":
-            value = _reference_hjb(cfg, seed, p)
-        else:
-            value = _reference_elliptic(cfg, seed, p)
+        reference = _reference_hjb if kind == "hjb" else _reference_elliptic
+        (value,) = reference(cfg, seed, [p])
     else:
         L = float(obj.get("L", cfg.L_list[0]))
         row = _compute_row(cfg, seed, L, p, float("nan"))
@@ -139,7 +136,7 @@ def _single_shot(args, kind: str, periodized: bool) -> int:
 
 def _cmd_study(args) -> int:
     cfg = _study_config(_load_json(args.config), args)
-    result = run_convergence_study(cfg, threads=max(1, args.threads))
+    result = run_convergence_study(cfg)
     csv_path = args.out or cfg.out_csv
     if csv_path:
         emit_csv(result, csv_path)

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .environment import gauss_legendre_panels
 from .hjb_solver import (
     ErgodicEstimate,
     GridField,
@@ -24,7 +25,6 @@ from .hjb_solver import (
     TorusGrid,
     corrector_lipschitz,
 )
-from .model import EllipticSpec, control_coefficients, eval_F
 from .periodize import PeriodizedElliptic
 
 __all__ = [
@@ -32,25 +32,6 @@ __all__ = [
     "solve_resolvent",
     "ergodic_constant_periodic_elliptic",
 ]
-
-_GL_X = np.array([
-    -0.9061798459386640, -0.5384693101056831, 0.0,
-    0.5384693101056831, 0.9061798459386640,
-])
-_GL_W = np.array([
-    0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-    0.4786286704993665, 0.2369268850561891,
-])
-
-
-def _eval_any_F(spec, X, x) -> float:
-    if isinstance(spec, PeriodizedElliptic):
-        return spec.eval_F(X, x)
-    return eval_F(spec, X, x)
-
-
-def _spec_constants(spec):
-    return spec.base.constants if isinstance(spec, PeriodizedElliptic) else spec.constants
 
 
 def ergodic_constant_1d_exact(spec, P: float, quadrature_N: int = 256,
@@ -63,22 +44,13 @@ def ergodic_constant_1d_exact(spec, P: float, quadrature_N: int = 256,
     monotone decreasing in c.  Composite 5-point Gauss quadrature on
     ``quadrature_N`` panels.
     """
-    cst = _spec_constants(spec)
-    lam = cst.lambda_bar
-    edges = np.linspace(0.0, period, quadrature_N + 1)
-    halves = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    xs = (mids[:, None] + halves[:, None] * _GL_X[None, :]).ravel()
-    ws = (halves[:, None] * _GL_W[None, :]).ravel()
+    lam = getattr(spec, "base", spec).constants.lambda_bar
+    xs, ws = gauss_legendre_panels(period, quadrature_N)
     # per-node control coefficients, sampled once so the bisections below
-    # evaluate F as a vectorized max of affine functions of G (the same
-    # formula _eval_any_F computes one point at a time)
-    if isinstance(spec, PeriodizedElliptic):
-        per_point = [spec.blended_controls([x]) for x in xs]
-    else:
-        per_point = [control_coefficients(spec, [x]) for x in xs]
-    amat = np.array([[float(ctl[0][0, 0]) for ctl in pc] for pc in per_point])
-    fvec = np.array([[float(ctl[1]) for ctl in pc] for pc in per_point])
+    # evaluate F as a vectorized max of affine functions of G
+    controls = spec.coefficients(xs[:, None])
+    amat = np.stack([a_mat[:, 0, 0] for a_mat, _ in controls], axis=1)
+    fvec = np.stack([f for _, f in controls], axis=1)
 
     def F_of(G: np.ndarray) -> np.ndarray:
         return np.max(-amat * (G + P)[:, None] - fvec, axis=1)
@@ -127,23 +99,8 @@ def ergodic_constant_1d_exact(spec, P: float, quadrature_N: int = 256,
 def _controls_on_grid(spec, grid: TorusGrid, coord_scale: float = 1.0):
     """Per-control coefficient arrays sampled at coord_scale * node."""
     d = grid.dimension
-    axes = grid.axes()
-    if d == 1:
-        pts = axes[0][:, None] * coord_scale
-    else:
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"),
-                       axis=-1).reshape(-1, d) * coord_scale
-    if isinstance(spec, PeriodizedElliptic):
-        per_point = [spec.blended_controls(x) for x in pts]
-    else:
-        per_point = [control_coefficients(spec, x) for x in pts]
-    n_ctl = len(per_point[0])
-    out = []
-    for k in range(n_ctl):
-        mats = np.array([pc[k][0] for pc in per_point]).reshape(grid.shape + (d, d))
-        fs = np.array([pc[k][1] for pc in per_point]).reshape(grid.shape)
-        out.append((mats, fs))
-    return out
+    return [(mats.reshape(grid.shape + (d, d)), fs.reshape(grid.shape))
+            for mats, fs in spec.coefficients(grid.nodes() * coord_scale)]
 
 
 def _trace_operator_matrix(grid: TorusGrid, mats: np.ndarray) -> sp.csr_matrix:

@@ -71,7 +71,7 @@ def cell_uniform(seed: int, index: tuple[int, ...], stream: int = 0) -> float:
 # --- mollification kernel: C^2 plateau bump on [-1, 1] --------------------
 
 # quintic smoothstep s(t) = 6t^5 - 15t^4 + 10t^3 on [0,1]
-def _smoothstep(t):
+def smoothstep(t):
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
@@ -83,7 +83,7 @@ def _kernel(t):
     mollified field below osc(V)/rho.
     """
     u = np.abs(t)
-    out = np.where(u <= 0.5, 1.0, _smoothstep(np.clip(2.0 * (1.0 - u), 0.0, 1.0)))
+    out = np.where(u <= 0.5, 1.0, smoothstep(np.clip(2.0 * (1.0 - u), 0.0, 1.0)))
     return (2.0 / 3.0) * np.where(u >= 1.0, 0.0, out)
 
 
@@ -96,6 +96,17 @@ _GL_W = np.array([
     0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
     0.4786286704993665, 0.2369268850561891,
 ])
+
+
+def gauss_legendre_panels(period: float, n_panels: int):
+    """Nodes and weights of composite 5-point Gauss-Legendre quadrature
+    on ``n_panels`` equal panels of [0, period]."""
+    edges = np.linspace(0.0, period, n_panels + 1)
+    halves = 0.5 * np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    xs = (mids[:, None] + halves[:, None] * _GL_X[None, :]).ravel()
+    ws = (halves[:, None] * _GL_W[None, :]).ravel()
+    return xs, ws
 
 
 def _kernel_mass(lo: float, hi: float) -> float:
@@ -265,7 +276,7 @@ def _checkerboard_value(env: EnvironmentSample, x: tuple[float, ...]) -> float:
 def _bump_profile(t):
     """C^2 unit bump on [-1,1] with b(0)=1 (quintic smoothstep shoulder)."""
     u = np.abs(t)
-    return np.where(u >= 1.0, 0.0, _smoothstep(np.clip(1.0 - u, 0.0, 1.0)))
+    return np.where(u >= 1.0, 0.0, smoothstep(np.clip(1.0 - u, 0.0, 1.0)))
 
 
 def _poisson_count(u: float, intensity: float, cap: int) -> int:
@@ -326,28 +337,39 @@ def eval_potential(env: EnvironmentSample, x) -> float:
     return _poisson_bump_value(env, x)
 
 
+def lattice_points(axes: list[np.ndarray]) -> np.ndarray:
+    """Rows of the tensor product of d coordinate arrays, row-major:
+    an array of shape (n_1 * ... * n_d, d)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def eval_potential_points(env: EnvironmentSample, points) -> np.ndarray:
+    """V at each row of an (n, d) array of points, one ``eval_potential``
+    call per point."""
+    return np.array([eval_potential(env, x) for x in points])
+
+
 def eval_potential_grid(env: EnvironmentSample, axes: list[np.ndarray]) -> np.ndarray:
     """Potential sampled on a tensor grid (d arrays of coordinates)."""
-    if env.dimension == 1:
-        return np.array([eval_potential(env, (x,)) for x in axes[0]])
-    out = np.empty((axes[0].size, axes[1].size))
-    for i, xi in enumerate(axes[0]):
-        for j, yj in enumerate(axes[1]):
-            out[i, j] = eval_potential(env, (xi, yj))
-    return out
+    return eval_potential_points(env, lattice_points(axes)).reshape(
+        tuple(a.size for a in axes))
+
+
+def sigma_of_potential(env: EnvironmentSample, v):
+    """Scalar factor slope*v + offset of Sigma where the potential is v
+    (a number or an array of samples)."""
+    s = env.spec.sigma
+    return s.get("slope", 0.0) * v + s.get("offset", 0.0)
 
 
 def eval_sigma(env: EnvironmentSample, x) -> np.ndarray:
     """Diffusion factor Sigma(x) = (slope*V(x)+offset) * I_d."""
-    s = env.spec.sigma
-    v = s.get("slope", 0.0) * eval_potential(env, x) + s.get("offset", 0.0)
-    return v * np.eye(env.dimension)
+    return sigma_scalar(env, x) * np.eye(env.dimension)
 
 
 def sigma_scalar(env: EnvironmentSample, x) -> float:
     """Scalar factor of Sigma (Sigma is a multiple of the identity)."""
-    s = env.spec.sigma
-    return s.get("slope", 0.0) * eval_potential(env, x) + s.get("offset", 0.0)
+    return sigma_of_potential(env, eval_potential(env, x))
 
 
 def dependence_range(env: EnvironmentSample) -> float:

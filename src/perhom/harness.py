@@ -3,14 +3,15 @@ checks and CSV/JSON persistence.
 
 A study config describes a medium, an operator family, lists of momenta /
 Hessian offsets, periods L and seeds, an eta mode and a reference method.
-Each (seed, L, p) triple yields one result row; the reference constant is
-computed once per (seed, p) and shared across the L rows, which exposes
-the finite-box seed dependence of the reference honestly.
+Each (seed, L, p) triple yields one result row; the reference constants
+of a seed are computed in one call for all its momenta (the 1D oracle
+samples the seed's box once) and each is shared across the L rows, which
+exposes the finite-box seed dependence of the reference honestly.  The
+theta and 2 theta cell solves of an HJB row read one discretized cell.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import csv
 import io
@@ -40,6 +41,7 @@ from .hjb_solver import (
     ergodic_constant_periodic,
     estimate_Hbar_reference,
     make_grid,
+    _discretize,
     _theta_extrapolated,
 )
 from .elliptic_solver import (
@@ -193,7 +195,8 @@ def _eta_for(cfg: StudyConfig, L: float) -> float:
     raise ValueError(f"unknown eta mode {mode!r}")
 
 
-def _reference_hjb(cfg: StudyConfig, seed: int, p) -> float:
+def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
+    """Reference constants of one seed's medium at each momentum of ``ps``."""
     ref = cfg.reference
     spec = _hjb_spec(cfg, seed)
     method = ref.get("method", "oracle")
@@ -205,30 +208,32 @@ def _reference_hjb(cfg: StudyConfig, seed: int, p) -> float:
         def V(x):
             return eval_potential(spec.env, (x % box,))
         return hbar_1d_first_order(V, spec.c1, spec.gamma,
-                                   float(np.atleast_1d(p)[0]),
+                                   [float(np.atleast_1d(p)[0]) for p in ps],
                                    quad_N=int(ref.get("quad_N", 4096)),
                                    period=box)
     if method == "delta_extrapolation":
-        est = estimate_Hbar_reference(
+        return [estimate_Hbar_reference(
             spec, p, ref.get("deltas", [4e-3, 2e-3, 1e-3]),
             float(ref.get("box", 16.0)), _solver_params(cfg),
             grid_n=ref.get("grid_n"),
             box_multiplier=float(ref.get("box_multiplier", 1.0)),
             dissipation_extrapolation=bool(
-                ref.get("dissipation_extrapolation", False)))
-        return est.value
+                ref.get("dissipation_extrapolation", False))).value
+            for p in ps]
     raise ValueError(f"unknown reference method {method!r}")
 
 
-def _reference_elliptic(cfg: StudyConfig, seed: int, P) -> float:
+def _reference_elliptic(cfg: StudyConfig, seed: int, Ps) -> list[float]:
+    """Reference constants of one seed's medium at each Hessian offset."""
     ref = cfg.reference
     spec = _elliptic_spec(cfg, seed)
     if cfg.env.dimension != 1 and spec.dimension != 1:
         raise ValueError("elliptic reference implemented for d = 1 only")
     box = float(ref.get("box", 64.0))
-    return ergodic_constant_1d_exact(spec, float(np.atleast_1d(P)[0]),
-                                     quadrature_N=int(ref.get("quad_N", 512)),
-                                     period=box)
+    return [ergodic_constant_1d_exact(spec, float(np.atleast_1d(P)[0]),
+                                      quadrature_N=int(ref.get("quad_N", 512)),
+                                      period=box)
+            for P in Ps]
 
 
 def _p_label(p) -> str:
@@ -252,8 +257,9 @@ def _compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> 
                                 H0_c1=cfg.model.get("H0_c1"))
             grid = make_grid(spec.dimension, L, n)
             if cfg.solver.get("dissipation_extrapolation"):
+                cell = _discretize(per, grid)  # shared by both solves
                 value, ests = _theta_extrapolated(
-                    lambda pp: ergodic_constant_periodic(per, p, grid, pp),
+                    lambda pp: ergodic_constant_periodic(cell, p, grid, pp),
                     params, default_theta(per, p, grid), lambda e: e.value)
             else:
                 ests = [ergodic_constant_periodic(per, p, grid, params)]
@@ -282,7 +288,7 @@ def _compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> 
         wall_time=float(wall))
 
 
-def run_convergence_study(cfg: StudyConfig, threads: int = 1) -> StudyResult:
+def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     """Run the sweep; resumable against an existing out_csv (present keys
     are skipped and their rows reused)."""
     existing: dict = {}
@@ -290,37 +296,19 @@ def run_convergence_study(cfg: StudyConfig, threads: int = 1) -> StudyResult:
         for row in load_csv(cfg.out_csv):
             existing[row.key()] = row
 
-    kind = cfg.model.get("type", "hjb")
+    reference = (_reference_hjb if cfg.model.get("type", "hjb") == "hjb"
+                 else _reference_elliptic)
     refs: dict = {}
     for seed in cfg.seeds:
-        for p in cfg.p_list:
-            label = _p_label(p)
-            if all((seed, L, label) in existing for L in cfg.L_list):
-                continue
-            if kind == "hjb":
-                refs[(seed, label)] = _reference_hjb(cfg, seed, p)
-            else:
-                refs[(seed, label)] = _reference_elliptic(cfg, seed, p)
+        todo = [p for p in cfg.p_list if any(
+            (seed, L, _p_label(p)) not in existing for L in cfg.L_list)]
+        if todo:
+            refs.update(zip(((seed, _p_label(p)) for p in todo),
+                            reference(cfg, seed, todo)))
 
-    tasks = []
-    for seed in cfg.seeds:
-        for L in cfg.L_list:
-            for p in cfg.p_list:
-                label = _p_label(p)
-                if (seed, L, label) in existing:
-                    continue
-                tasks.append((seed, L, p, label))
-
-    def work(task):
-        seed, L, p, label = task
-        return _compute_row(cfg, seed, L, p, refs[(seed, label)])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fresh = list(pool.map(work, tasks))
-    else:
-        fresh = [work(t) for t in tasks]
-
+    fresh = [_compute_row(cfg, seed, L, p, refs[(seed, _p_label(p))])
+             for seed in cfg.seeds for L in cfg.L_list for p in cfg.p_list
+             if (seed, L, _p_label(p)) not in existing]
     rows = list(existing.values()) + fresh
     rows.sort(key=lambda r: (r.seed, r.L, r.p))
     return StudyResult(config=cfg.to_json(), rows=rows)

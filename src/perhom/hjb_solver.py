@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .environment import eval_potential, sigma_scalar
+from .environment import lattice_points
 from .model import HamiltonianSpec
 from .periodize import PeriodizedHJB
 
@@ -31,7 +31,6 @@ __all__ = [
     "SolverParams",
     "ErgodicEstimate",
     "NonConvergenceError",
-    "lf_numerical_hamiltonian",
     "solve_delta_problem",
     "ergodic_constant_periodic",
     "estimate_Hbar_reference",
@@ -71,6 +70,10 @@ class TorusGrid:
 
     def axes(self) -> list[np.ndarray]:
         return [h * np.arange(n) for h, n in zip(self.spacings, self.ns)]
+
+    def nodes(self) -> np.ndarray:
+        """Node coordinates, row-major, as an (n_nodes, d) array."""
+        return lattice_points(self.axes())
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,27 +130,15 @@ class ErgodicEstimate:
     info: dict = field(default_factory=dict)
 
 
-def lf_numerical_hamiltonian(H, p_minus, p_plus, x, theta) -> float:
-    """Lax-Friedrichs flux: H((p- + p+)/2, x) - sum theta_i (p+_i - p-_i)/2.
-
-    Consistent (equals H(p, x) when p- = p+ = p) and monotone when theta
-    dominates |dH/dp| componentwise on the hull of (p-, p+).
-    """
-    pm = np.atleast_1d(np.asarray(p_minus, dtype=float))
-    pp = np.atleast_1d(np.asarray(p_plus, dtype=float))
-    th = np.broadcast_to(np.asarray(theta, dtype=float), pm.shape)
-    return float(H(0.5 * (pm + pp), x) - 0.5 * np.dot(th, pp - pm))
-
-
 # --- grid-coefficient form of the (blended) power-family operator ---------
 
 @dataclass
 class _GridProblem:
-    """H(q, x) = c1(x)|q|^gamma - V(x), diffusion coefficient a(x) per axis.
-
-    Both the base family and its periodization stay inside this
-    coefficient form, so the interior identity H_L = H is the same code
-    path evaluated with identical coefficients.
+    """A discretized cell: H(q, x) = c1(x)|q|^gamma - V(x) and diffusion
+    coefficient a(x) per axis at the grid nodes, read from the spec's one
+    ``coefficients`` method (V sampled once per node).  The solvers accept
+    it in place of a spec, so several solves (theta and 2 theta, a
+    sequence of discounts) share one discretization.
     """
 
     grid: TorusGrid
@@ -158,32 +149,16 @@ class _GridProblem:
 
 
 def _discretize(spec, grid: TorusGrid) -> _GridProblem:
-    axes = grid.axes()
-    d = grid.dimension
-    if isinstance(spec, PeriodizedHJB):
-        base = spec.base
-        if d == 1:
-            pts = axes[0][:, None]
-        else:
-            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        Vr = np.array([eval_potential(base.env, x) for x in pts]).reshape(grid.shape)
-        sg = np.array([sigma_scalar(base.env, x) for x in pts]).reshape(grid.shape)
-        zet = np.array([spec.zeta(spec._reduce(x)) for x in pts]).reshape(grid.shape)
-        c1 = (1.0 - zet) * base.c1 + zet * spec.h0_c1
-        V = (1.0 - zet) * Vr + zet * spec.H0_constant
-        a = np.broadcast_to((1.0 - zet) * sg ** 2, (d,) + grid.shape).copy()
-        return _GridProblem(grid=grid, gamma=base.gamma, c1=c1, V=V, a=a)
-    if isinstance(spec, HamiltonianSpec):
-        if d == 1:
-            pts = axes[0][:, None]
-        else:
-            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        V = np.array([eval_potential(spec.env, x) for x in pts]).reshape(grid.shape)
-        sg = np.array([sigma_scalar(spec.env, x) for x in pts]).reshape(grid.shape)
-        c1 = np.full(grid.shape, float(spec.c1))
-        a = np.broadcast_to(sg ** 2, (d,) + grid.shape).copy()
-        return _GridProblem(grid=grid, gamma=spec.gamma, c1=c1, V=V, a=a)
-    raise TypeError(f"cannot discretize {type(spec).__name__}")
+    """The coefficients of ``spec`` at the grid nodes; an already
+    discretized cell is returned unchanged."""
+    if isinstance(spec, _GridProblem):
+        return spec
+    shape = grid.shape
+    c1, V, a = spec.coefficients(grid.nodes())
+    return _GridProblem(grid=grid, gamma=spec.gamma, c1=c1.reshape(shape),
+                        V=V.reshape(shape),
+                        a=np.broadcast_to(a.reshape(shape),
+                                          (grid.dimension,) + shape).copy())
 
 
 # theta is this factor above the slope of H at the first-order gradient
@@ -338,9 +313,11 @@ def _newton(prob: _GridProblem, p, theta, R: np.ndarray, u: np.ndarray,
 def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridField:
     """Approximate corrector: delta v - tr(A D^2 v) + H(Dv + p, x) = 0.
 
-    Returns the grid field with ``info`` carrying residual, Newton steps,
-    theta and ``nodes_above_cap``.  Raises NonConvergenceError when the
-    tolerance is out of reach within ``max_iter`` Newton steps.
+    ``spec`` may be a cell already discretized by ``_discretize``; then
+    ``params.lf_theta`` must be set.  Returns the grid field with ``info``
+    carrying residual, Newton steps, theta and ``nodes_above_cap``.  Raises
+    NonConvergenceError when the tolerance is out of reach within
+    ``max_iter`` Newton steps.
     """
     if params.delta <= 0:
         raise ValueError("solve_delta_problem needs delta > 0")
@@ -379,7 +356,8 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
                               init: np.ndarray | None = None) -> ErgodicEstimate:
     """Periodic cell problem: the unique c with an L-periodic corrector for
     -tr(A_L D^2 chi) + H_L(D chi + p, x) = c; the returned value is c
-    (the H-bar-side constant).
+    (the H-bar-side constant).  ``prob`` may be a cell already discretized
+    by ``_discretize``; then ``params.lf_theta`` must be set.
 
     The corrector is normalized to zero at node 0 (spatial origin).  The
     Newton loop runs twice on the same monotone scheme: a discounted solve
@@ -452,6 +430,7 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
 
     With ``dissipation_extrapolation`` each discounted problem is solved
     twice, with dissipation theta and 2 theta (``_theta_extrapolated``).
+    Every solve reads the same discretized cell.
     """
     deltas = [float(d) for d in delta_seq]
     if len(deltas) < 2 or any(b >= a for a, b in zip(deltas, deltas[1:])):
@@ -461,7 +440,7 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     grid = make_grid(d, box, n)
     small_box = box < box_multiplier / deltas[-1]
     theta0 = params.lf_theta or default_theta(spec, p, grid)
-    solve = partial(solve_delta_problem, spec, p, grid)
+    solve = partial(solve_delta_problem, _discretize(spec, grid), p, grid)
 
     def read(fld):  # -delta v(0)
         return -fld.info["delta"] * float(fld.values.ravel()[0])

@@ -16,9 +16,9 @@ import numpy as np
 
 from .environment import (
     EnvironmentSample,
-    eval_potential,
+    eval_potential_points,
     eval_sigma,
-    sigma_scalar,
+    sigma_of_potential,
 )
 
 __all__ = [
@@ -93,6 +93,14 @@ class HamiltonianSpec:
     def dimension(self) -> int:
         return self.env.dimension
 
+    def coefficients(self, points):
+        """(c1, V, a) at each row of an (n, d) array of points, with A = a I:
+        V is sampled once per point, and a = sigma^2 is taken from that
+        sample."""
+        V = eval_potential_points(self.env, points)
+        return (np.full(V.shape, float(self.c1)), V,
+                sigma_of_potential(self.env, V) ** 2)
+
 
 @dataclass(frozen=True)
 class EllipticSpec:
@@ -124,48 +132,65 @@ class EllipticSpec:
         if len(self.controls) > 8:
             raise ValueError("at most 8 controls")
 
+    def coefficients(self, points):
+        """Per control, (A(x), f(x)) at each row of an (n, d) array of
+        points, as arrays of shape (n, d, d) and (n,).  V is sampled once
+        per point, and only when a descriptor needs it."""
+        points = np.asarray(points, dtype=float)
+        d = self.dimension
+        uses_V = any("affine_of_V" in ctl["a"] or "affine_of_V" in ctl.get("f", {})
+                     for ctl in self.controls)
+        V = eval_potential_points(self.env, points) if uses_V else None
+        out = []
+        for ctl in self.controls:
+            m = np.array(ctl.get("matrix", np.eye(d).tolist()), dtype=float).reshape(d, d)
+            a = _coefficient(ctl["a"], V, points[:, 0])
+            f = _coefficient(ctl.get("f", {"const": 0.0}), V, points[:, 0])
+            out.append((a[:, None, None] * m, f))
+        return out
 
-def _coeff_eval(desc: dict, env: EnvironmentSample | None, x) -> float:
+
+def _coefficient(desc: dict, V, x1: np.ndarray) -> np.ndarray:
+    """A coefficient descriptor at points with potential V and first
+    coordinate x1."""
     if "const" in desc:
-        return float(desc["const"])
+        return np.full(x1.shape, float(desc["const"]))
     if "affine_of_V" in desc:
         k, b = desc["affine_of_V"]
-        return k * eval_potential(env, x) + b
-    x0 = float(np.atleast_1d(x)[0])
+        return k * V + b
     if "inv_cos" in desc:
         (amp,) = desc["inv_cos"]
-        return 1.0 / (1.0 + amp * math.cos(2.0 * math.pi * x0))
+        return 1.0 / (1.0 + amp * np.cos(2.0 * np.pi * x1))
     if "cos" in desc:
         b, amp = desc["cos"]
-        return b + amp * math.cos(2.0 * math.pi * x0)
+        return b + amp * np.cos(2.0 * np.pi * x1)
     raise ValueError(f"unknown coefficient descriptor {desc}")
 
 
-def control_coefficients(spec: EllipticSpec, x) -> list[tuple[np.ndarray, float]]:
-    """Per-control (A_alpha(x), f_alpha(x)) at a point."""
-    out = []
-    d = spec.dimension
-    for ctl in spec.controls:
-        m = np.array(ctl.get("matrix", np.eye(d).tolist()), dtype=float).reshape(d, d)
-        a = _coeff_eval(ctl["a"], spec.env, x)
-        f = _coeff_eval(ctl.get("f", {"const": 0.0}), spec.env, x)
-        out.append((a * m, f))
-    return out
+def _one_point(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=float))[None, :]
 
 
-def eval_H(spec: HamiltonianSpec, p, x) -> float:
-    """H(p, x) = c1 |p|^gamma - V(x)."""
+def control_coefficients(spec, x) -> list[tuple[np.ndarray, float]]:
+    """Per-control (A_alpha(x), f_alpha(x)) at a point of an elliptic spec
+    or its periodization."""
+    return [(a[0], float(f[0])) for a, f in spec.coefficients(_one_point(x))]
+
+
+def eval_H(spec, p, x) -> float:
+    """H(p, x) = c1(x) |p|^gamma - V(x), from the coefficients at x of a
+    Hamiltonian spec or its periodization."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return spec.c1 * float(np.linalg.norm(p)) ** spec.gamma - eval_potential(spec.env, x)
+    c1, V, _ = spec.coefficients(_one_point(x))
+    return float(c1[0] * float(np.linalg.norm(p)) ** spec.gamma - V[0])
 
 
-def eval_A(spec: HamiltonianSpec, x) -> np.ndarray:
-    """A(x) = Sigma(x) Sigma(x)^T."""
-    s = eval_sigma(spec.env, x)
-    return s @ s.T
+def eval_A(spec, x) -> np.ndarray:
+    """A(x) = a(x) I = Sigma(x) Sigma(x)^T."""
+    return spec.coefficients(_one_point(x))[2][0] * np.eye(spec.dimension)
 
 
-def eval_F(spec: EllipticSpec, X, x) -> float:
+def eval_F(spec, X, x) -> float:
     """F(X, x) = max over controls of (-tr(A_alpha X) - f_alpha)."""
     X = np.asarray(X, dtype=float).reshape(spec.dimension, spec.dimension)
     vals = [-float(np.trace(a_mat @ X)) - f for a_mat, f in control_coefficients(spec, x)]

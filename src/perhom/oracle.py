@@ -16,7 +16,13 @@ import math
 
 import numpy as np
 
-from .environment import EnvironmentSample, eval_potential
+from .environment import (
+    EnvironmentSample,
+    eval_potential,
+    eval_potential_points,
+    gauss_legendre_panels,
+    lattice_points,
+)
 
 __all__ = [
     "hbar_1d_first_order",
@@ -25,15 +31,6 @@ __all__ = [
     "brute_force_min",
     "flat_spot_halfwidth",
 ]
-
-_GL_X = np.array([
-    -0.9061798459386640, -0.5384693101056831, 0.0,
-    0.5384693101056831, 0.9061798459386640,
-])
-_GL_W = np.array([
-    0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-    0.4786286704993665, 0.2369268850561891,
-])
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -57,15 +54,6 @@ def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12):
     return x, fn(x)
 
 
-def _quad_nodes(period: float, n_panels: int):
-    edges = np.linspace(0.0, period, n_panels + 1)
-    halves = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    xs = (mids[:, None] + halves[:, None] * _GL_X[None, :]).ravel()
-    ws = (halves[:, None] * _GL_W[None, :]).ravel()
-    return xs, ws
-
-
 def _min_periodic(V, period: float, n_seeds: int) -> float:
     """Global minimum of a periodic scalar function: coarse grid followed by
     golden-section refinement around the best few seeds."""
@@ -81,50 +69,61 @@ def _min_periodic(V, period: float, n_seeds: int) -> float:
     return best
 
 
-def hbar_1d_first_order(V, c1: float, gamma: float, p: float,
-                        quad_N: int = 256, period: float = 1.0) -> float:
-    """Effective Hamiltonian of c1 |q|^gamma - V(x), A = 0, V periodic.
-
-    Returns the flat value -min V when |p| <= g(-min V), otherwise the
-    unique c >= -min V with g(c) = |p|, where
-    g(c) = (1/period) * integral ((V + c)/c1)^(1/gamma).
-    """
-    if quad_N < 256:
-        raise ValueError("quad_N must be >= 256")
+def _sample_box(V, c1: float, gamma: float, quad_N: int, period: float):
+    """Sample V once over the box; returns -min V and the map
+    g(c) = (1/period) * integral ((V + c)/c1)^(1/gamma) on those samples."""
     c_flat = -_min_periodic(V, period, quad_N)
-    xs, ws = _quad_nodes(period, quad_N)
+    xs, ws = gauss_legendre_panels(period, quad_N)
     Vx = np.array([V(x) for x in xs])
 
     def g(c: float) -> float:
         integrand = np.maximum(Vx + c, 0.0) / c1
         return float(np.dot(ws, integrand ** (1.0 / gamma))) / period
 
-    target = abs(p)
-    if target <= g(c_flat):
-        return c_flat
-    lo, hi = c_flat, c_flat + max(1.0, c1 * target ** gamma + 1.0)
-    while g(hi) < target:
-        hi += (hi - lo) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return 0.5 * (lo + hi)
+    return c_flat, g
+
+
+def hbar_1d_first_order(V, c1: float, gamma: float, p,
+                        quad_N: int = 256, period: float = 1.0):
+    """Effective Hamiltonian of c1 |q|^gamma - V(x), A = 0, V periodic.
+
+    Returns the flat value -min V when |p| <= g(-min V), otherwise the
+    unique c >= -min V with g(c) = |p|, where
+    g(c) = (1/period) * integral ((V + c)/c1)^(1/gamma).  ``p`` may also
+    be a sequence of momenta; they share one sampling of V, and the
+    constants come back as a list.
+    """
+    if quad_N < 256:
+        raise ValueError("quad_N must be >= 256")
+    c_flat, g = _sample_box(V, c1, gamma, quad_N, period)
+
+    def solve(target: float) -> float:
+        if target <= g(c_flat):
+            return c_flat
+        lo, hi = c_flat, c_flat + max(1.0, c1 * target ** gamma + 1.0)
+        while g(hi) < target:
+            hi += (hi - lo) + 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if g(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-10:
+                break
+        return 0.5 * (lo + hi)
+
+    if np.ndim(p) == 0:
+        return solve(abs(p))
+    return [solve(abs(q)) for q in p]
 
 
 def flat_spot_halfwidth(V, c1: float, gamma: float, quad_N: int = 256,
                         period: float = 1.0) -> float:
     """g(c_flat): the momentum |p| below which the 1D effective Hamiltonian
     is flat."""
-    c_flat = -_min_periodic(V, period, quad_N)
-    xs, ws = _quad_nodes(period, quad_N)
-    Vx = np.array([V(x) for x in xs])
-    integrand = np.maximum(Vx + c_flat, 0.0) / c1
-    return float(np.dot(ws, integrand ** (1.0 / gamma))) / period
+    c_flat, g = _sample_box(V, c1, gamma, quad_N, period)
+    return g(c_flat)
 
 
 def hbar_flat_spot_value(env: EnvironmentSample, box: float,
@@ -140,10 +139,7 @@ def hbar_flat_spot_value(env: EnvironmentSample, box: float,
         raw = _min_periodic(V, box, grid_N)
     else:
         xs = np.linspace(0.0, box, grid_N, endpoint=False)
-        raw = math.inf
-        for x in xs:
-            for y in xs:
-                raw = min(raw, eval_potential(env, (x, y)))
+        raw = float(eval_potential_points(env, lattice_points([xs, xs])).min())
     return -raw, raw
 
 
@@ -151,7 +147,7 @@ def fbar_linear_1d(a, f, P: float, quad_N: int = 256,
                    period: float = 1.0) -> float:
     """Effective constant of F(X, x) = -a(x) X + f(x) in 1D:
     (mean(f/a) - P) / mean(1/a)."""
-    xs, ws = _quad_nodes(period, quad_N)
+    xs, ws = gauss_legendre_panels(period, quad_N)
     av = np.array([a(x) for x in xs])
     fv = np.array([f(x) for x in xs])
     mean_fa = float(np.dot(ws, fv / av)) / period

@@ -8,16 +8,18 @@ eta, through a C^2 cutoff that is radial in the l-infinity norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .environment import smoothstep
 from .model import (
     EllipticSpec,
     HamiltonianSpec,
     StructuralConstants,
     control_coefficients,
     eval_A,
+    eval_F,
     eval_H,
 )
 
@@ -33,10 +35,6 @@ __all__ = [
     "eta_schedule_elliptic",
     "default_F0_coeff",
 ]
-
-
-def _smoothstep(t):
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,10 @@ def eval_cutoff(profile: CutoffProfile, x, d: int | None = None):
     """
     eta = profile.eta
     x = np.asarray(x, dtype=float)
-    if d is not None and d > 1:
-        r = x - np.round(x)
-        m = np.max(np.abs(r), axis=-1)
-    else:
-        r = x - np.round(x)
-        m = np.abs(r)
+    r = np.abs(x - np.round(x))
+    m = np.max(r, axis=-1) if d is not None and d > 1 else r
     t = np.clip((m - (0.5 - eta)) / (eta / 2.0), 0.0, 1.0)
-    out = _smoothstep(t)
+    out = smoothstep(t)
     if np.ndim(out) == 0:
         return float(out)
     return out
@@ -95,6 +89,24 @@ def choose_H0_constant(constants: StructuralConstants) -> float:
     if np.any(lhs > rhs + 1e-12):
         raise AssertionError("H0 constant closed form violated on the check grid")
     return c_h0
+
+
+# zeta and _reduce of both periodized families; each class binds them in
+# its own body
+def _zeta(self, x):
+    """zeta(x / L) at a point x, or at each row of an (n, d) array of
+    points."""
+    y = np.atleast_1d(np.asarray(x, dtype=float)) / self.L
+    if self.dimension == 1:
+        return eval_cutoff(self.cutoff, y[..., 0])
+    return eval_cutoff(self.cutoff, y, d=self.dimension)
+
+
+def _reduce(self, x) -> np.ndarray:
+    """x, or each row of an (n, d) array, reduced periodically into the
+    centred cell [-L/2, L/2]^d."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return x - self.L * np.round(x / self.L)
 
 
 @dataclass(frozen=True)
@@ -121,32 +133,37 @@ class PeriodizedHJB:
     def h0_c1(self) -> float:
         return self.H0_c1 if self.H0_c1 is not None else 1.0 / self.H0_constant
 
-    def zeta(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.dimension == 1:
-            return float(eval_cutoff(self.cutoff, x[0] / self.L))
-        return float(eval_cutoff(self.cutoff, x / self.L, d=self.dimension))
+    @property
+    def gamma(self) -> float:
+        return self.base.gamma
 
-    def _reduce(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return x - self.L * np.round(x / self.L)
+    zeta = _zeta
+    _reduce = _reduce
+
+    def coefficients(self, points):
+        """(c1_L, V_L, a_L) at each row of an (n, d) array of points: the
+        base's coefficients blended with H0's, c1_L = (1 - zeta) c1 + zeta
+        H0_c1, V_L = (1 - zeta) V + zeta H0_constant, a_L = (1 - zeta) a.
+
+        zeta is taken at the points' periodic reduction, V and a where the
+        points lie.  ``eval_H``/``eval_A`` pass reduced points; the grid
+        discretizer passes the nodes of [0, L), whose upper half lies
+        outside the centred cell the cutoff is built on.
+        """
+        z = self.zeta(self._reduce(points))
+        c1, V, a = self.base.coefficients(points)
+        return ((1.0 - z) * c1 + z * self.h0_c1,
+                (1.0 - z) * V + z * self.H0_constant, (1.0 - z) * a)
 
     def eval_H0(self, p) -> float:
         q = float(np.linalg.norm(np.atleast_1d(p)))
         return self.h0_c1 * q ** self.base.gamma - self.H0_constant
 
     def eval_H(self, p, x) -> float:
-        xr = self._reduce(x)
-        z = self.zeta(xr)
-        if z == 0.0:
-            return eval_H(self.base, p, xr)
-        if z == 1.0:
-            return self.eval_H0(p)
-        return (1.0 - z) * eval_H(self.base, p, xr) + z * self.eval_H0(p)
+        return eval_H(self, p, self._reduce(x))
 
     def eval_A(self, x) -> np.ndarray:
-        xr = self._reduce(x)
-        return (1.0 - self.zeta(xr)) * eval_A(self.base, xr)
+        return eval_A(self, self._reduce(x))
 
 
 def periodize_hjb(base: HamiltonianSpec, L: float, eta: float,
@@ -187,41 +204,31 @@ class PeriodizedElliptic:
     def dimension(self) -> int:
         return self.base.dimension
 
-    def zeta(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.dimension == 1:
-            return float(eval_cutoff(self.cutoff, x[0] / self.L))
-        return float(eval_cutoff(self.cutoff, x / self.L, d=self.dimension))
+    zeta = _zeta
+    _reduce = _reduce
 
-    def _reduce(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return x - self.L * np.round(x / self.L)
+    def coefficients(self, points):
+        """Per control, (A_L, f_L) at each row of an (n, d) array of points
+        reduced into the centred cell: A_L = (1 - zeta) A + zeta f0_coeff I
+        and f_L = (1 - zeta) f.  The blend of a Bellman max with the linear
+        F0 distributes over the controls."""
+        xr = self._reduce(points)
+        z = self.zeta(xr)
+        zm = z[:, None, None]
+        eye = np.eye(self.dimension)
+        return [((1.0 - zm) * a_mat + zm * self.f0_coeff * eye, (1.0 - z) * f)
+                for a_mat, f in self.base.coefficients(xr)]
 
     def eval_F0(self, X) -> float:
         X = np.asarray(X, dtype=float).reshape(self.dimension, self.dimension)
         return -self.f0_coeff * float(np.trace(X))
 
     def eval_F(self, X, x) -> float:
-        from .model import eval_F
-        xr = self._reduce(x)
-        z = self.zeta(xr)
-        if z == 0.0:
-            return eval_F(self.base, X, xr)
-        if z == 1.0:
-            return self.eval_F0(X)
-        return (1.0 - z) * eval_F(self.base, X, xr) + z * self.eval_F0(X)
+        return eval_F(self, X, x)
 
     def blended_controls(self, x) -> list[tuple[np.ndarray, float]]:
-        """Per-control (A, f) of the blend; the blend of a Bellman max with
-        a linear F0 distributes over the controls."""
-        xr = self._reduce(x)
-        z = self.zeta(xr)
-        d = self.dimension
-        out = []
-        for a_mat, f in control_coefficients(self.base, xr):
-            out.append(((1.0 - z) * a_mat + z * self.f0_coeff * np.eye(d),
-                        (1.0 - z) * f))
-        return out
+        """Per-control (A, f) of the blend at a point."""
+        return control_coefficients(self, x)
 
 
 def periodize_elliptic(base: EllipticSpec, L: float, eta: float,

@@ -31,3 +31,25 @@ def cosine_V():
 def checkerboard_env():
     return EnvSpec(kind="checkerboard", dimension=1, value_range=(0.0, 3.0),
                    cell_size=1.0, mollify_radius=0.25)
+
+
+@pytest.fixture
+def sample_counter(monkeypatch):
+    """Route every perhom module's reference to ``eval_potential`` through a
+    counter; the returned list grows by one sampled point per call."""
+    import sys
+
+    from perhom import environment
+
+    sample = environment.eval_potential
+    points = []
+
+    def counted(env, x):
+        points.append(x)
+        return sample(env, x)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "perhom" and \
+                getattr(mod, "eval_potential", None) is sample:
+            monkeypatch.setattr(mod, "eval_potential", counted)
+    return points

@@ -132,6 +132,25 @@ def test_bellman_periodic_cell():
         assert est.value >= est_s.value - 1e-6
 
 
+def test_bellman_cell_samples_each_node_once(sample_counter):
+    # every affine_of_V descriptor of every control reads one sample of V
+    env = sample_env(EnvSpec(kind="checkerboard", dimension=1,
+                             value_range=(0.0, 3.0), mollify_radius=0.25), 2)
+    spec = EllipticSpec(
+        env=env, family="bellman", dimension=1, constants=_cst(Lam=2.5),
+        controls=(
+            {"matrix": [[1.0]], "a": {"affine_of_V": [0.2, 1.0]},
+             "f": {"affine_of_V": [-0.5, 0.2]}},
+            {"matrix": [[1.0]], "a": {"affine_of_V": [-0.15, 1.8]},
+             "f": {"affine_of_V": [0.3, -0.6]}},
+        ))
+    per = periodize_elliptic(spec, L=4.0, eta=0.1)
+    est = ergodic_constant_periodic_elliptic(per, [[0.4]], make_grid(1, 4.0, 64),
+                                             SolverParams(tol=1e-8))
+    assert est.converged
+    assert len(sample_counter) == 64
+
+
 def test_resolvent_constant_coefficients():
     # x-independent F: v + F(P) = 0 has the constant solution v = -F(P)
     spec = linear_elliptic_spec(None, {"const": 2.0}, {"const": 3.0},

@@ -173,14 +173,40 @@ def test_study_runs_and_columns_sane(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_study_threaded_matches_serial():
-    cfg = _tiny_config()
-    a = run_convergence_study(cfg, threads=1)
-    b = run_convergence_study(cfg, threads=2)
-    for ra, rb in zip(a.rows, b.rows):
-        assert ra.key() == rb.key()
-        assert ra.constant_L == rb.constant_L
-        assert ra.constant_ref == rb.constant_ref
+def test_row_samples_each_node_once(sample_counter):
+    # sigma comes from the same sample as V, and the theta and 2 theta
+    # solves read one discretized cell
+    from perhom.harness import _compute_row
+    cfg = _tiny_config(solver={"tol": 1e-7, "dissipation_extrapolation": True})
+    row = _compute_row(cfg, 1, 4.0, 1.0, 0.0)
+    assert math.isfinite(row.constant_L)
+    assert len(sample_counter) == 4 * 8  # L = 4, 8 nodes per unit
+
+
+def test_oracle_study_samples_each_box_point_once(monkeypatch, sample_counter):
+    # the references of a seed's momenta share one sampling of its box
+    from perhom import harness
+    oracle = harness.hbar_1d_first_order
+    per_call = []
+
+    def spy(*args, **kwargs):
+        start = len(sample_counter)
+        out = oracle(*args, **kwargs)
+        per_call.append(len(sample_counter) - start)
+        return out
+
+    monkeypatch.setattr(harness, "hbar_1d_first_order", spy)
+    cfg = _tiny_config(p_list=[0.0, 1.0, 2.0], seeds=[1], L_list=[4.0])
+    rows = run_convergence_study(cfg).rows
+    env = harness._hjb_spec(cfg, 1).env
+
+    def V(x):
+        return harness.eval_potential(env, (x % 16.0,))
+    start = len(sample_counter)
+    singles = {repr(p): oracle(V, 1.0, 2.0, p, quad_N=1024, period=16.0)
+               for p in (0.0, 1.0, 2.0)}
+    assert per_call == [(len(sample_counter) - start) // 3]
+    assert {r.p: r.constant_ref for r in rows} == singles
 
 
 def test_study_resume_skips_existing(tmp_path):

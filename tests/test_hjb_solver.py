@@ -12,7 +12,6 @@ from perhom import (
     ergodic_constant_periodic,
     estimate_Hbar_reference,
     hbar_1d_first_order,
-    lf_numerical_hamiltonian,
     load_field,
     make_grid,
     periodize_hjb,
@@ -35,39 +34,6 @@ def _cosine_base():
                              value_range=(1.0, 3.0)), 0)
     cst = StructuralConstants(c_struct=7.0, gamma=2.0, c_corr=2.0)
     return HamiltonianSpec(env=env, c1=1.0, gamma=2.0, constants=cst)
-
-
-def test_lf_flux_consistency():
-    H = lambda q, x: float(np.dot(q, q))
-    for p in ((0.7,), (1.0, -2.0)):
-        p = np.asarray(p)
-        assert lf_numerical_hamiltonian(H, p, p, None, 4.0) == \
-            pytest.approx(H(p, None), rel=1e-14)
-
-
-def test_lf_flux_worked_example():
-    # H = |p|^2, p- = 0, p+ = (2, 0), theta = 4:
-    # H((1, 0)) - 0.5 * 4 * 2 = 1 - 4 = -3
-    H = lambda q, x: float(np.dot(q, q))
-    got = lf_numerical_hamiltonian(H, (0.0, 0.0), (2.0, 0.0), None, 4.0)
-    assert got == pytest.approx(-3.0, rel=1e-14)
-
-
-def test_lf_flux_monotone():
-    # numerical Hamiltonian must be nonincreasing in p+ and nondecreasing
-    # in p- when theta dominates |dH/dp| on the relevant hull
-    H = lambda q, x: float(np.dot(q, q))
-    rng = np.random.default_rng(0)
-    theta = 5.0  # |dH/dp| <= 2 * |p| <= 4 on [-2, 2]
-    for _ in range(2000):
-        pm = rng.uniform(-2, 2)
-        pp = rng.uniform(-2, 2)
-        e = rng.uniform(0, 0.1)
-        base = lf_numerical_hamiltonian(H, (pm,), (pp,), None, theta)
-        assert lf_numerical_hamiltonian(H, (pm,), (pp + e,), None, theta) \
-            <= base + 1e-12
-        assert lf_numerical_hamiltonian(H, (pm + e,), (pp,), None, theta) \
-            >= base - 1e-12
 
 
 def test_scheme_monotone_under_node_bump():
