@@ -5,16 +5,20 @@ Three routes:
 * an exact 1D inverse-integral oracle that only uses the strict
   monotonicity of F in its matrix argument,
 * the resolvent problem v + F(D^2 v + P, Lx) = 0 on the unit cell,
-* periodic-cell constants via Howard (policy) iteration on a monotone
-  (wide-stencil) discretization; 2D cross terms need diagonally dominant
-  coefficient matrices and a square grid.
+* periodic-cell constants.
+
+The last two discretize F monotonely (wide stencil; 2D cross terms need
+diagonally dominant coefficient matrices and a square grid) and solve the
+resulting Bellman system with the one Newton (Howard) loop of
+``hjb_solver``: with a delta = 1 diagonal for the resolvent, bordered by
+the unknown constant for the cell.  ``max_iter`` bounds its steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (patched by perfbench/layer_trace.py)
 
 from .environment import gauss_legendre_panels
 from .hjb_solver import (
@@ -23,9 +27,10 @@ from .hjb_solver import (
     NonConvergenceError,
     SolverParams,
     TorusGrid,
+    _check_period,
+    _newton,
     corrector_lipschitz,
 )
-from .periodize import PeriodizedElliptic
 
 __all__ = [
     "ergodic_constant_1d_exact",
@@ -96,13 +101,6 @@ def ergodic_constant_1d_exact(spec, P: float, quadrature_N: int = 256,
 
 # --- monotone discretization ---------------------------------------------
 
-def _controls_on_grid(spec, grid: TorusGrid, coord_scale: float = 1.0):
-    """Per-control coefficient arrays sampled at coord_scale * node."""
-    d = grid.dimension
-    return [(mats.reshape(grid.shape + (d, d)), fs.reshape(grid.shape))
-            for mats, fs in spec.coefficients(grid.nodes() * coord_scale)]
-
-
 def _trace_operator_matrix(grid: TorusGrid, mats: np.ndarray) -> sp.csr_matrix:
     """Sparse matrix of u -> tr(A(x) D^2_h u) with the monotone stencil."""
     d = grid.dimension
@@ -158,117 +156,72 @@ def _trace_operator_matrix(grid: TorusGrid, mats: np.ndarray) -> sp.csr_matrix:
         shape=(n, n))
 
 
-def _bellman_residual(controls, ops, u: np.ndarray, P: np.ndarray, grid: TorusGrid):
-    """F-hat(D^2_h u + P, x) per node and the argmax control index."""
-    n = u.size
-    vals = []
-    for (mats, fs), L in zip(controls, ops):
-        trP = np.einsum("...ij,ji->...", mats, P)
-        vals.append(-(L @ u.ravel()).reshape(grid.shape) - trP - fs)
-    stack = np.stack(vals)
-    best = np.argmax(stack, axis=0)
-    fhat = np.max(stack, axis=0)
-    return fhat, best
+def _bellman_scheme(spec, P, grid: TorusGrid, coord_scale: float):
+    """The monotone Bellman scheme of F(D^2 u + P, x) with the controls
+    sampled at coord_scale * node, in the form ``hjb_solver._newton``
+    takes: F(u) = max over controls k of -L_k u - (tr(A_k P) + f_k), and
+    J(u, delta) = delta I - L_k row by row, k the control active at u.
+    Each control's trace operator L_k and affine term are built once."""
+    d = grid.dimension
+    P = np.asarray(P, dtype=float).reshape(d, d)
+    ops = []
+    for mats, fs in spec.coefficients(grid.nodes() * coord_scale):
+        mats = mats.reshape(grid.shape + (d, d))
+        ops.append((_trace_operator_matrix(grid, mats),
+                    np.einsum("...ij,ji->...", mats, P).ravel() + fs))
 
+    def controls(u):
+        return np.stack([-(Lk @ u.ravel()) - g for Lk, g in ops])
 
-def _active_matrix(controls, ops, best: np.ndarray, P: np.ndarray, grid: TorusGrid):
-    """Row-select the active control's operator and affine term."""
-    n = int(np.prod(grid.shape))
-    flat = best.ravel()
-    Lact = sp.csr_matrix((n, n))
-    g = np.zeros(grid.shape)
-    for k, ((mats, fs), L) in enumerate(zip(controls, ops)):
-        mask = flat == k
-        if not mask.any():
-            continue
-        sel = sp.diags(mask.astype(float))
-        Lact = Lact + sel @ L
-        trP = np.einsum("...ij,ji->...", mats, P)
-        g[best == k] = (trP + fs)[best == k]
-    return Lact, g
+    def F(u):
+        return np.max(controls(u), axis=0).reshape(u.shape)
+
+    def J(u, delta):
+        best = np.argmax(controls(u), axis=0)
+        active = sum(sp.diags((best == k).astype(float)) @ Lk
+                     for k, (Lk, _) in enumerate(ops))
+        return (delta * sp.identity(u.size) - active).tocsc()
+
+    return F, J
 
 
 def solve_resolvent(spec, P, L: float, grid: TorusGrid,
                     params: SolverParams) -> GridField:
     """v + F(D^2 v + P, L x) = 0 on the unit cell, monotone discretization.
 
-    Linear controls solve in one Howard step; Bellman operators iterate
-    policy selection until the residual drops below tol.
+    The Newton (Howard) loop of ``hjb_solver`` with delta = 1, from v = 0:
+    linear controls solve in one step.  Raises NonConvergenceError when the
+    tolerance is out of reach within ``max_iter`` steps.
     """
-    d = grid.dimension
-    P = np.asarray(P, dtype=float).reshape(d, d)
-    controls = _controls_on_grid(spec, grid, coord_scale=L)
-    ops = [_trace_operator_matrix(grid, mats) for mats, _ in controls]
-    n = int(np.prod(grid.shape))
-    u = np.zeros(grid.shape)
-    history = []
-    iters = 0
-    for _ in range(max(2, 50)):
-        fhat, best = _bellman_residual(controls, ops, u, P, grid)
-        res = float(np.max(np.abs(u + fhat)))
-        history.append(res)
-        if res <= params.tol:
-            break
-        Lact, g = _active_matrix(controls, ops, best, P, grid)
-        # u - Lact u = g  (M-matrix)
-        A = sp.identity(n, format="csr") - Lact
-        u = spla.spsolve(A.tocsc(), g.ravel()).reshape(grid.shape)
-        iters += 1
-        if iters > params.max_iter:
-            break
-    fhat, _ = _bellman_residual(controls, ops, u, P, grid)
-    res = float(np.max(np.abs(u + fhat)))
-    if res > params.tol:
+    F, J = _bellman_scheme(spec, P, grid, coord_scale=L)
+    u, _, history = _newton(F, J, np.zeros(grid.shape), 1.0, params.tol,
+                            params.max_iter)
+    res = history[-1]
+    if not res <= params.tol:
         raise NonConvergenceError(f"resolvent stalled at residual {res:.3e}",
                                   history)
     return GridField(grid=grid, values=u,
-                     info={"residual": res, "iterations": iters})
+                     info={"residual": res, "iterations": len(history) - 1})
 
 
 def ergodic_constant_periodic_elliptic(prob, P, grid: TorusGrid,
                                        params: SolverParams) -> ErgodicEstimate:
     """Periodic cell constant: the unique c with an L-periodic corrector of
-    F_L(D^2 chi + P, x) = c; corrector normalized to zero at node 0."""
-    d = grid.dimension
-    P = np.asarray(P, dtype=float).reshape(d, d)
-    if isinstance(prob, PeriodizedElliptic):
-        for per in grid.periods:
-            if abs(per - prob.L) > 1e-12 * prob.L:
-                raise ValueError("grid period must equal L")
-    controls = _controls_on_grid(prob, grid, coord_scale=1.0)
-    ops = [_trace_operator_matrix(grid, mats) for mats, _ in controls]
-    n = int(np.prod(grid.shape))
-    u = np.zeros(grid.shape)
-    c = 0.0
-    history = []
-    iters = 0
-    keep = np.arange(1, n)
-    ones = sp.csr_matrix(np.ones((n, 1)))
-    for _ in range(60):
-        fhat, best = _bellman_residual(controls, ops, u, P, grid)
-        res = float(np.max(np.abs(fhat - c)))
-        history.append(res)
-        if res <= params.tol:
-            break
-        Lact, g = _active_matrix(controls, ops, best, P, grid)
-        # -Lact u - g = c with u[0] = 0:  [-Lact[:,1:] | -1] w = g
-        A = sp.hstack([-Lact[:, keep], -ones], format="csc")
-        w = spla.spsolve(A, g.ravel())
-        u = np.zeros(n)
-        u[1:] = w[:-1]
-        u = u.reshape(grid.shape)
-        c = float(w[-1])
-        iters += 1
-        if iters > params.max_iter:
-            break
-    fhat, _ = _bellman_residual(controls, ops, u, P, grid)
-    res = float(np.max(np.abs(fhat - c)))
-    if res > params.tol:
+    F_L(D^2 chi + P, x) = c; corrector normalized to zero at node 0.
+
+    The bordered Newton (Howard) loop of ``hjb_solver`` (delta = 0), from
+    chi = 0; ``max_iter`` bounds its steps.
+    """
+    _check_period(prob, grid)
+    F, J = _bellman_scheme(prob, P, grid, coord_scale=1.0)
+    u, c, history = _newton(F, J, np.zeros(grid.shape), 0.0, params.tol,
+                            params.max_iter)
+    res = history[-1]
+    if not res <= params.tol:
         raise NonConvergenceError(f"elliptic cell solve stalled at {res:.3e}",
                                   history)
     fld = GridField(grid=grid, values=u, info={"residual": res})
     return ErgodicEstimate(
-        value=c, residual=res, iterations=iters, corrector=fld,
-        lipschitz_estimate=corrector_lipschitz(fld),
-        converged=res <= params.tol,
+        value=c, residual=res, iterations=len(history) - 1, corrector=fld,
+        lipschitz_estimate=corrector_lipschitz(fld), converged=True,
         info={"oscillation": float(u.max() - u.min())})

@@ -12,12 +12,13 @@ theta and 2 theta cell solves of an HJB row read one discretized cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import csv
 import io
 import json
 import os
 import time
+import typing
 
 import numpy as np
 
@@ -62,10 +63,6 @@ __all__ = [
     "load_csv",
 ]
 
-ROW_FIELDS = ("seed", "L", "eta_used", "p", "constant_L", "constant_ref",
-              "abs_err", "residual", "iterations", "lipschitz_estimate",
-              "wall_time")
-
 
 @dataclass
 class ResultRow:
@@ -86,6 +83,9 @@ class ResultRow:
 
     def as_list(self):
         return [getattr(self, f) for f in ROW_FIELDS]
+
+
+ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -402,18 +402,8 @@ def emit_json(result: StudyResult, path=None) -> str:
 
 
 def load_csv(path) -> list[ResultRow]:
-    rows = []
+    """The rows of an ``emit_csv`` file, each field read by its type."""
+    types = typing.get_type_hints(ResultRow)
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            rows.append(ResultRow(
-                seed=int(rec["seed"]), L=float(rec["L"]),
-                eta_used=float(rec["eta_used"]), p=rec["p"],
-                constant_L=float(rec["constant_L"]),
-                constant_ref=float(rec["constant_ref"]),
-                abs_err=float(rec["abs_err"]),
-                residual=float(rec["residual"]),
-                iterations=int(rec["iterations"]),
-                lipschitz_estimate=float(rec["lipschitz_estimate"]),
-                wall_time=float(rec["wall_time"])))
-    return rows
+        return [ResultRow(**{name: types[name](rec[name]) for name in ROW_FIELDS})
+                for rec in csv.DictReader(f)]

@@ -6,9 +6,10 @@ differences in the diffusion.  Beyond the gradient R(x) at which its
 slope reaches theta / 1.5 the Hamiltonian is continued linearly, so the
 dissipation theta dominates the slope and the scheme is monotone at every
 iterate.  Discounted and ergodic cell problems are both solved by one
-Newton (Howard) loop: a delta diagonal closes the discounted system, and a
-border carrying the unknown constant closes the ergodic one.  The returned
-residual is the sup-norm defect of the discrete equation.
+Newton (Howard) loop, ``_newton``, which the elliptic solvers share: a
+delta diagonal closes the discounted system, and a border carrying the
+unknown constant closes the ergodic one.  The returned residual is the
+sup-norm defect of the discrete equation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .environment import lattice_points
 from .model import HamiltonianSpec
-from .periodize import PeriodizedHJB
+from .periodize import PeriodizedElliptic, PeriodizedHJB
 
 __all__ = [
     "TorusGrid",
@@ -104,8 +105,9 @@ class GridField:
 class SolverParams:
     """delta is the discount (0 for ergodic problems); lf_theta overrides
     the automatic per-axis dissipation bound; max_iter bounds the Newton
-    steps of each phase of a solve, one sparse linear solve each.  Nothing
-    marches in pseudo-time, so there is no CFL safety factor."""
+    (Howard) steps of each phase of a solve, one sparse linear solve each,
+    for the HJB and the elliptic solvers alike.  Nothing marches in
+    pseudo-time, so there is no CFL safety factor."""
 
     delta: float = 0.0
     lf_theta: tuple[float, ...] | None = None
@@ -270,23 +272,23 @@ def _jacobian(prob: _GridProblem, u: np.ndarray, p, theta, R: np.ndarray,
         shape=(n, n))
 
 
-def _newton(prob: _GridProblem, p, theta, R: np.ndarray, u: np.ndarray,
-            delta: float, tol: float, max_steps: int):
-    """Full Newton (Howard) steps on the discrete cell equation, until the
+def _newton(F, J, u: np.ndarray, delta: float, tol: float, max_steps: int):
+    """Full Newton (Howard) steps on a monotone, convex scheme, until the
     residual is <= tol or non-finite, or after ``max_steps`` steps.
 
-    delta > 0: delta u + H-hat(u) - diffusion = 0; the delta diagonal makes
-    the Jacobian of the monotone, convex scheme an M-matrix, and Howard's
-    algorithm converges from any start.  delta = 0: H-hat(u) - diffusion =
-    c, with c one more unknown and u pinned to 0 at node 0, which borders
-    the singular Jacobian with a column of -1.  Returns (u, c, sup-norm
-    residual history); the Newton steps taken are len(history) - 1.
+    ``F(u)`` is the scheme's operator at the nodes and ``J(u, delta)`` the
+    sparse Jacobian of delta u + F(u).  delta > 0: delta u + F(u) = 0; the
+    delta diagonal makes the Jacobian an M-matrix, and Howard's algorithm
+    converges from any start.  delta = 0: F(u) = c, with c one more
+    unknown and u pinned to 0 at node 0, which borders the singular
+    Jacobian with a column of -1.  Returns (u, c, sup-norm residual
+    history); the Newton steps taken are len(history) - 1.
     """
     shape, n = u.shape, u.size
     c = 0.0
     if delta == 0.0:
         u = u - u.flat[0]
-        c = float(np.mean(_operator(prob, u, p, theta, R)))
+        c = float(np.mean(F(u)))
         border = sp.csc_matrix(-np.ones((n, 1)))
     history = []
     while True:
@@ -294,20 +296,27 @@ def _newton(prob: _GridProblem, p, theta, R: np.ndarray, u: np.ndarray,
         # the finite differences keeps the residual roundoff at the O(1)
         # oscillation scale instead of the 1/delta scale
         m = float(u.mean())
-        r = delta * (u - m) + delta * m - c + \
-            _operator(prob, u - m, p, theta, R)
+        r = delta * (u - m) + delta * m - c + F(u - m)
         history.append(float(np.max(np.abs(r))))
         if history[-1] <= tol or len(history) > max_steps or \
                 not np.isfinite(history[-1]):
             return u, c, history
-        J = _jacobian(prob, u, p, theta, R, delta)
+        Ju = J(u, delta)
         if delta > 0.0:
-            u = u - spla.spsolve(J, r.ravel()).reshape(shape)
+            u = u - spla.spsolve(Ju, r.ravel()).reshape(shape)
         else:
-            w = spla.spsolve(sp.hstack([J[:, 1:], border], format="csc"),
+            w = spla.spsolve(sp.hstack([Ju[:, 1:], border], format="csc"),
                              r.ravel())
             u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
             c -= float(w[-1])
+
+
+def _check_period(prob, grid: TorusGrid) -> None:
+    """A periodized operator is solved on the torus of its period L."""
+    if isinstance(prob, (PeriodizedHJB, PeriodizedElliptic)):
+        for per in grid.periods:
+            if abs(per - prob.L) > 1e-12 * prob.L:
+                raise ValueError("grid period must equal L")
 
 
 def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridField:
@@ -324,8 +333,10 @@ def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridF
     prob = _discretize(spec, grid)
     theta = params.lf_theta or default_theta(spec, p, grid)
     R = _gradient_cap(prob, theta)
-    u, _, history = _newton(prob, p, theta, R, np.zeros(grid.shape),
-                            params.delta, params.tol, params.max_iter)
+    u, _, history = _newton(lambda v: _operator(prob, v, p, theta, R),
+                            lambda v, dl: _jacobian(prob, v, p, theta, R, dl),
+                            np.zeros(grid.shape), params.delta, params.tol,
+                            params.max_iter)
     res = history[-1]
     if not res <= params.tol:
         raise NonConvergenceError(
@@ -374,18 +385,15 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
     convex kinks can still push discrete gradients past R.  In viscous
     cells, which have no such bound, a larger ``lf_theta`` moves R out.
     """
-    if isinstance(prob, PeriodizedHJB):
-        for per in grid.periods:
-            if abs(per - prob.L) > 1e-12 * prob.L:
-                raise ValueError("grid period must equal L")
+    _check_period(prob, grid)
     gprob = _discretize(prob, grid)
     theta = params.lf_theta or default_theta(prob, p, grid)
     R = _gradient_cap(gprob, theta)
+    F = lambda v: _operator(gprob, v, p, theta, R)
+    J = lambda v, dl: _jacobian(gprob, v, p, theta, R, dl)
     u = np.zeros(grid.shape) if init is None else np.reshape(init, grid.shape)
-    u, _, warmup = _newton(gprob, p, theta, R, u, 1.0, params.tol,
-                           params.max_iter)
-    u, c, history = _newton(gprob, p, theta, R, u, 0.0, params.tol,
-                            params.max_iter)
+    u, _, warmup = _newton(F, J, u, 1.0, params.tol, params.max_iter)
+    u, c, history = _newton(F, J, u, 0.0, params.tol, params.max_iter)
     res = history[-1]
     if not res <= params.tol:
         raise NonConvergenceError(

@@ -17,7 +17,6 @@ import numpy as np
 from .environment import (
     EnvironmentSample,
     eval_potential_points,
-    eval_sigma,
     sigma_of_potential,
 )
 
@@ -252,31 +251,31 @@ def verify_structure(spec, samples: int = 2000, box: float = 4.0, seed: int = 0)
         qs = rng.uniform(-5, 5, size=(samples, d))
         ys = rng.uniform(-box / 2, box / 2, size=(samples, d))
 
-        worst_co = 0.0
-        worst_cx = 0.0
-        worst_hx = 0.0
-        worst_hp = 0.0
-        worst_sx = 0.0
-        for x, y, p, q in zip(xs, ys, ps, qs):
-            h = eval_H(spec, p, x)
-            lo = C ** -1 * np.linalg.norm(p) ** g - C
-            hi = C * np.linalg.norm(p) ** g + C
-            # ratio > 1 means the sandwich is violated
-            worst_co = max(worst_co, lo - h, h - hi)
-            hm = eval_H(spec, (p + q) / 2, x)
-            worst_cx = max(worst_cx, hm - 0.5 * (h + eval_H(spec, q, x)))
-            dxy = np.linalg.norm(x - y)
-            if dxy > 0:
-                lhs = abs(h - eval_H(spec, p, y))
-                worst_hx = max(worst_hx, lhs / (C * (np.linalg.norm(p) ** g + 1) * dxy))
-            dpq = np.linalg.norm(p - q)
-            if dpq > 0:
-                lhs = abs(h - eval_H(spec, q, x))
-                den = C * (np.linalg.norm(p) ** (g - 1) + np.linalg.norm(q) ** (g - 1) + 1) * dpq
-                worst_hp = max(worst_hp, lhs / den)
-            if dxy > 0:
-                ds = _frob(eval_sigma(spec.env, x) - eval_sigma(spec.env, y))
-                worst_sx = max(worst_sx, ds / (C * dxy))
+        # two samples per trial, at x and at y; sigma comes from them too
+        c1x, Vx, _ = spec.coefficients(xs)
+        c1y, Vy, _ = spec.coefficients(ys)
+
+        def H(c1, V, mom):
+            return c1 * np.linalg.norm(mom, axis=1) ** spec.gamma - V
+
+        def worst(ratio, where=True):
+            return float(np.max(ratio, where=where, initial=0.0))
+
+        pn, qn = np.linalg.norm(ps, axis=1), np.linalg.norm(qs, axis=1)
+        dxy, dpq = np.linalg.norm(xs - ys, axis=1), np.linalg.norm(ps - qs, axis=1)
+        h, hq = H(c1x, Vx, ps), H(c1x, Vx, qs)
+        # ratio > 1 means the sandwich is violated
+        worst_co = worst(np.maximum(C ** -1 * pn ** g - C - h,
+                                    h - (C * pn ** g + C)))
+        worst_cx = worst(H(c1x, Vx, (ps + qs) / 2) - 0.5 * (h + hq))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst_hx = worst(np.abs(h - H(c1y, Vy, ps))
+                             / (C * (pn ** g + 1) * dxy), dxy > 0)
+            worst_hp = worst(np.abs(h - hq) / (
+                C * (pn ** (g - 1) + qn ** (g - 1) + 1) * dpq), dpq > 0)
+            ds = np.abs(sigma_of_potential(spec.env, Vx)
+                        - sigma_of_potential(spec.env, Vy)) * np.sqrt(d)
+            worst_sx = worst(ds / (C * dxy), dxy > 0)
         entry("coercivite", worst_co, 0.0)
         entry("convex", worst_cx, 1e-12)
         entry("Hx_Hy", worst_hx)

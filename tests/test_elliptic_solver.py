@@ -227,3 +227,55 @@ def test_grid_period_must_match_L_elliptic():
     grid = make_grid(1, 4.0, 64)
     with pytest.raises(ValueError):
         ergodic_constant_periodic_elliptic(per, [[0.0]], grid, SolverParams())
+
+
+def _two_control_spec():
+    env = sample_env(EnvSpec(kind="cosine", dimension=1,
+                             value_range=(1.0, 3.0)), 0)
+    return EllipticSpec(
+        env=env, family="bellman", dimension=1, constants=_cst(lam=0.5, Lam=4.0),
+        controls=(
+            {"matrix": [[1.0]], "a": {"affine_of_V": [1.0, 0.0]},
+             "f": {"const": 0.0}},
+            {"matrix": [[1.0]], "a": {"const": 2.0}, "f": {"cos": [0.0, -1.0]}},
+        ))
+
+
+def _bellman_solves():
+    # at P = -0.75 the active control changes across the cell, so both
+    # solves take more than one Howard step
+    spec, grid = _two_control_spec(), make_grid(1, 1.0, 64)
+    return {
+        "cell": lambda params: ergodic_constant_periodic_elliptic(
+            spec, [[-0.75]], grid, params),
+        "resolvent": lambda params: solve_resolvent(
+            spec, [[-0.75]], L=1.0, grid=grid, params=params),
+    }
+
+
+@pytest.mark.parametrize("name", ["cell", "resolvent"])
+def test_max_iter_bounds_howard_steps(name):
+    solve = _bellman_solves()[name]
+    out = solve(SolverParams(tol=1e-8))
+    steps = out.iterations if name == "cell" else out.info["iterations"]
+    assert steps >= 2
+    solve(SolverParams(tol=1e-8, max_iter=steps))
+    with pytest.raises(NonConvergenceError):
+        solve(SolverParams(tol=1e-8, max_iter=steps - 1))
+
+
+def test_bellman_resolvent_below_each_control_resolvent():
+    # F >= F_k, so each control's own resolvent is a supersolution of the
+    # Bellman resolvent equation, and the discrete comparison principle
+    # puts v below it at every node
+    spec, grid, tol = _two_control_spec(), make_grid(1, 1.0, 64), 1e-9
+    P = [[-0.75]]
+    fld = solve_resolvent(spec, P, L=1.0, grid=grid,
+                          params=SolverParams(tol=tol))
+    assert fld.info["residual"] <= tol
+    singles = [solve_resolvent(
+        EllipticSpec(env=spec.env, family="bellman", dimension=1,
+                     constants=spec.constants, controls=(ctl,)),
+        P, L=1.0, grid=grid, params=SolverParams(tol=tol)).values
+        for ctl in spec.controls]
+    assert np.all(fld.values <= np.minimum(*singles) + 10 * tol)

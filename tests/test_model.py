@@ -96,6 +96,14 @@ def test_verify_structure_detects_violation():
     assert not report["coercivite"]["passed"]
 
 
+def test_verify_structure_samples_each_trial_point_once(sample_counter,
+                                                       checkerboard_env):
+    spec = HamiltonianSpec(env=sample_env(checkerboard_env, 0), c1=1.0,
+                           gamma=2.0, constants=StructuralConstants(c_struct=4.0))
+    verify_structure(spec, samples=50)
+    assert len(sample_counter) == 100  # x and y of each trial
+
+
 def test_verify_structure_elliptic_passes():
     env = sample_env(EnvSpec(kind="cosine", dimension=1,
                              value_range=(1.0, 3.0)), 0)
