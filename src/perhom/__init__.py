@@ -14,6 +14,7 @@ from .environment import (
     EnvironmentSample,
     dependence_range,
     eval_potential,
+    eval_potential_points,
     eval_sigma,
     sample_env,
     shift_env,

@@ -20,13 +20,12 @@ import numpy as np
 from .environment import EnvSpec, eval_potential_grid, sample_env
 from .harness import (
     StudyConfig,
-    _compute_row,
-    _reference_elliptic,
-    _reference_hjb,
+    compute_row,
     emit_csv,
     emit_json,
     fit_rate,
     load_csv,
+    reference_constants,
     run_convergence_study,
 )
 from .hjb_solver import GridField, NonConvergenceError, make_grid, save_field
@@ -115,11 +114,10 @@ def _single_shot(args, kind: str, periodized: bool) -> int:
     seed = cfg.seeds[0]
     p = cfg.p_list[0]
     if not periodized:
-        reference = _reference_hjb if kind == "hjb" else _reference_elliptic
-        (value,) = reference(cfg, seed, [p])
+        (value,) = reference_constants(cfg, seed, [p])
     else:
         L = float(obj.get("L", cfg.L_list[0]))
-        row = _compute_row(cfg, seed, L, p, float("nan"))
+        row = compute_row(cfg, seed, L, p, float("nan"))
         if not np.isfinite(row.constant_L):
             print(f"solver did not converge: residual {row.residual:.3e}",
                   file=sys.stderr)

@@ -1,6 +1,6 @@
 """Seeded stationary random media with exact shift covariance.
 
-Three families of bounded random potentials on R^d (d in {1, 2}):
+Four families of bounded random potentials on R^d (d in {1, 2}):
 
 * ``constant`` -- V identically equal to the midpoint of the value range,
 * ``cosine`` -- deterministic benchmark V = mid + amp cos(2 pi x_1 / cs),
@@ -10,10 +10,13 @@ Three families of bounded random potentials on R^d (d in {1, 2}):
 * ``poisson_bump`` -- a Poisson cloud of compactly supported C^2 bumps.
 
 All randomness is derived from a 64-bit seed through the splitmix64
-avalanche mix, so every evaluation is a pure function of
-(spec, seed, lattice_offset, x) and is bit-identical across runs and
-platforms.  Lattice shifts act exactly on the cell indices, which gives
-exact (bit-level) shift covariance.
+avalanche mix, hashed over uint64 arrays, so every evaluation is a pure
+function of (spec, seed, lattice_offset, x).  ``eval_potential_points``
+is the one implementation: it evaluates an (n, d) array of points, and
+``eval_potential`` is its one-row call.  Samples are built from
+elementwise IEEE operations only, with no BLAS reduction, so a point's
+value does not depend on the other rows.  Lattice shifts act exactly on
+the cell indices, which gives exact (bit-level) shift covariance.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "EnvironmentSample",
     "sample_env",
     "eval_potential",
+    "eval_potential_points",
     "shift_env",
     "eval_sigma",
     "dependence_range",
@@ -39,33 +43,36 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 avalanche function (scalar)."""
-    x = (x + _GOLDEN) & _MASK
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK
+def splitmix64(x):
+    """The splitmix64 avalanche step on uint64 values (an array or a
+    number); the arithmetic wraps mod 2^64."""
+    x = np.asarray(x, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # a 0-d multiply warns where arrays wrap
+        x = x + _GOLDEN
+        x = (x ^ (x >> 30)) * _MIX1
+        x = (x ^ (x >> 27)) * _MIX2
     return x ^ (x >> 31)
 
 
-def cell_hash(seed: int, index: tuple[int, ...]) -> int:
-    """Hash of a lattice cell: chain seed with each (signed) index coordinate."""
-    h = splitmix64(seed & _MASK)
-    for i in index:
-        h = splitmix64(h ^ (i & _MASK))
+def _cell_hash(seed: int, cells):
+    """Hash of lattice cells, given as rows of d signed indices (an integer
+    array of shape (..., d)): the seed chained with each index."""
+    cells = np.asarray(cells, dtype=np.int64)
+    h = splitmix64(seed)
+    for a in range(cells.shape[-1]):
+        h = splitmix64(h ^ cells[..., a].astype(np.uint64))
     return h
 
 
-def _hash_to_unit(h: int) -> float:
-    """Map a 64-bit hash to a uniform double in [0, 1)."""
-    return (h >> 11) * (1.0 / (1 << 53))
+def _to_unit(h):
+    """Map 64-bit hashes to uniform doubles in [0, 1)."""
+    return (h >> 11).astype(np.float64) * (1.0 / (1 << 53))
 
 
-def cell_uniform(seed: int, index: tuple[int, ...], stream: int = 0) -> float:
-    """Uniform draw in [0,1) attached to a lattice cell (sub-stream ``stream``)."""
-    h = cell_hash(seed, index)
-    if stream:
-        h = splitmix64(h ^ (stream & _MASK))
-    return _hash_to_unit(h)
+def cell_uniform(seed: int, cells):
+    """Uniform draw in [0,1) attached to each lattice cell (rows of d
+    signed indices)."""
+    return _to_unit(_cell_hash(seed, cells))
 
 
 # --- mollification kernel: C^2 plateau bump on [-1, 1] --------------------
@@ -75,16 +82,16 @@ def smoothstep(t):
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _kernel(t):
-    """Normalized C^2 bump: 1 on |t|<=1/2, smoothstep decay to 0 at |t|=1.
-
-    Integral over [-1,1] equals 3/2 before normalization, so the factor is
-    2/3 and max |k| = 2/3, which keeps the Lipschitz constant of the
-    mollified field below osc(V)/rho.
-    """
-    u = np.abs(t)
-    out = np.where(u <= 0.5, 1.0, smoothstep(np.clip(2.0 * (1.0 - u), 0.0, 1.0)))
-    return (2.0 / 3.0) * np.where(u >= 1.0, 0.0, out)
+def _kernel_tail(s):
+    """Mass beyond s >= 0 (an array) of the unit-mass C^2 plateau kernel:
+    2/3 on |t| <= 1/2, (2/3) smoothstep(2(1 - |t|)) on 1/2 < |t| < 1, 0
+    beyond.  Its maximum 2/3 keeps the Lipschitz constant of the mollified
+    field below osc(V)/rho.  The smoothstep integrates to
+    u^4 (5/2 - 3u + u^2)."""
+    s = np.minimum(s, 1.0)
+    u = 2.0 * (1.0 - s)
+    return np.where(s <= 0.5, 1.0 / 6.0 + (2.0 / 3.0) * (0.5 - s),
+                    u ** 4 * (2.5 + u * (-3.0 + u)) / 3.0)
 
 
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]
@@ -107,25 +114,6 @@ def gauss_legendre_panels(period: float, n_panels: int):
     xs = (mids[:, None] + halves[:, None] * _GL_X[None, :]).ravel()
     ws = (halves[:, None] * _GL_W[None, :]).ravel()
     return xs, ws
-
-
-def _kernel_mass(lo: float, hi: float) -> float:
-    """Integral of the kernel over [lo, hi], exact via piecewise Gauss-5.
-
-    The kernel is piecewise polynomial with breakpoints at +-1/2 and +-1;
-    splitting there makes 5-point Gauss exact (degree 5 < 9).
-    """
-    lo = max(lo, -1.0)
-    hi = min(hi, 1.0)
-    if hi <= lo:
-        return 0.0
-    pts = [lo] + [b for b in (-0.5, 0.5) if lo < b < hi] + [hi]
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        total += half * float(np.dot(_GL_W, _kernel(mid + half * _GL_X)))
-    return total
 
 
 @dataclass(frozen=True)
@@ -219,134 +207,92 @@ def shift_env(env: EnvironmentSample, z) -> EnvironmentSample:
     return EnvironmentSample(spec=env.spec, seed=env.seed, lattice_offset=off)
 
 
-def _cell_value(env: EnvironmentSample, index: tuple[int, ...]) -> float:
-    """Uniform draw of a checkerboard cell mapped into the value range."""
-    vmin, vmax = env.spec.value_range
-    shifted = tuple(i + o for i, o in zip(index, env.lattice_offset))
-    return vmin + (vmax - vmin) * cell_uniform(env.seed, shifted)
-
-
-def _split_coords(env: EnvironmentSample, x) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Cell index and local coordinate of a point, offset not yet applied."""
-    cs = env.spec.cell_size
-    idx, loc = [], []
-    for xi in x:
-        i = math.floor(xi / cs)
-        idx.append(int(i))
-        loc.append(xi - i * cs)
-    return tuple(idx), tuple(loc)
-
-
-def _checkerboard_value(env: EnvironmentSample, x: tuple[float, ...]) -> float:
-    spec = env.spec
-    rho = spec.mollify_radius
-    idx, loc = _split_coords(env, x)
-    if rho == 0.0:
-        return _cell_value(env, idx)
-    # separable kernel: per-axis mass of each overlapped cell, then a
-    # normalized tensor-product average of the per-cell draws
-    cs = spec.cell_size
-    axis_masses = []
-    for d in range(spec.dimension):
-        # overlap with own cell [0, cs) and the two neighbours, in kernel units
-        t = loc[d]
-        masses = {}
-        for di in (-1, 0, 1):
-            a = (di * cs - t) / rho
-            b = ((di + 1) * cs - t) / rho
-            m = _kernel_mass(a, b)
-            if m > 0.0:
-                masses[di] = m
-        axis_masses.append(masses)
-    num = 0.0
-    den = 0.0
-    if spec.dimension == 1:
-        for di, m in axis_masses[0].items():
-            num += m * _cell_value(env, (idx[0] + di,))
-            den += m
-    else:
-        for di, mi in axis_masses[0].items():
-            for dj, mj in axis_masses[1].items():
-                w = mi * mj
-                num += w * _cell_value(env, (idx[0] + di, idx[1] + dj))
-                den += w
-    return num / den
-
-
-def _bump_profile(t):
-    """C^2 unit bump on [-1,1] with b(0)=1 (quintic smoothstep shoulder)."""
-    u = np.abs(t)
-    return np.where(u >= 1.0, 0.0, smoothstep(np.clip(1.0 - u, 0.0, 1.0)))
-
-
-def _poisson_count(u: float, intensity: float, cap: int) -> int:
-    """Inverse-CDF Poisson draw truncated at ``cap`` bumps per cell."""
-    p = math.exp(-intensity)
-    cdf = p
-    k = 0
-    while u > cdf and k < cap:
-        k += 1
-        p *= intensity / k
-        cdf += p
-    return k
-
-
-def _poisson_bump_value(env: EnvironmentSample, x: tuple[float, ...]) -> float:
-    spec = env.spec
-    vmin, vmax = spec.value_range
-    amp = float(spec.bump.get("amplitude", vmax - vmin))
-    radius = float(spec.bump["radius"])
-    intensity = float(spec.bump.get("intensity", 1.0))
-    cap = int(spec.bump.get("max_per_cell", 4))
-    cs = spec.cell_size
-    idx, _ = _split_coords(env, x)
-    reach = int(math.ceil(radius / cs))
-    total = 0.0
-    dim = spec.dimension
-    ranges = [range(i - reach, i + reach + 1) for i in idx]
-    cells = [(i,) for i in ranges[0]] if dim == 1 else [
-        (i, j) for i in ranges[0] for j in ranges[1]]
-    for cell in cells:
-        shifted = tuple(c + o for c, o in zip(cell, env.lattice_offset))
-        h = cell_hash(env.seed, shifted)
-        n = _poisson_count(_hash_to_unit(h), intensity, cap)
-        for k in range(n):
-            center = []
-            for d in range(dim):
-                u = _hash_to_unit(splitmix64(h ^ ((2 * k + d + 1) & _MASK)))
-                center.append((cell[d] + u) * cs)
-            dist = math.sqrt(sum((x[d] - center[d]) ** 2 for d in range(dim)))
-            total += amp * float(_bump_profile(dist / radius))
-    return min(vmin + total, vmax)
-
-
-def eval_potential(env: EnvironmentSample, x) -> float:
-    """Potential value V(x); always inside the declared value range."""
-    x = tuple(float(v) for v in np.atleast_1d(x))
-    if len(x) != env.dimension:
-        raise ValueError("point has wrong dimension")
-    spec = env.spec
-    vmin, vmax = spec.value_range
-    if spec.kind == "constant":
-        return 0.5 * (vmin + vmax)
-    if spec.kind == "cosine":
-        t = (x[0] + env.lattice_offset[0] * spec.cell_size) / spec.cell_size
-        return 0.5 * (vmin + vmax) + 0.5 * (vmax - vmin) * math.cos(2.0 * math.pi * t)
-    if spec.kind == "checkerboard":
-        return _checkerboard_value(env, x)
-    return _poisson_bump_value(env, x)
-
-
 def lattice_points(axes: list[np.ndarray]) -> np.ndarray:
     """Rows of the tensor product of d coordinate arrays, row-major:
     an array of shape (n_1 * ... * n_d, d)."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+# offsets of a cell and its lattice neighbours, row-major, per dimension
+_NEAR = {d: lattice_points([np.arange(-1, 2)] * d).astype(np.int64) for d in (1, 2)}
+
+
+def _checkerboard(env: EnvironmentSample, cells: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Checkerboard at points in lattice ``cells`` (offset applied) with
+    local coordinates ``t``, both (n, d)."""
+    spec = env.spec
+    vmin, vmax = spec.value_range
+    rho = spec.mollify_radius
+    if rho == 0.0:
+        return vmin + (vmax - vmin) * cell_uniform(env.seed, cells)
+    # separable kernel of radius rho < cs/2: on each axis it reaches the
+    # two neighbours only, with the tails beyond the cell edges as masses
+    lo, hi = _kernel_tail(np.array([t, spec.cell_size - t]) / rho)
+    mass = np.empty(t.shape + (3,))
+    mass[..., 0], mass[..., 1], mass[..., 2] = lo, (1.0 - lo) - hi, hi
+    # tensor product over the axes, then the normalized average of draws;
+    # Python's sum adds the cells in order, so no row depends on the others
+    near = _NEAR[spec.dimension]
+    w = 1.0
+    for a in range(spec.dimension):
+        w = w * mass[:, a, near[:, a] + 1]
+    v = vmin + (vmax - vmin) * cell_uniform(env.seed, cells[:, None, :] + near)
+    return sum((w * v).T) / sum(w.T)
+
+
+def _poisson_bumps(env: EnvironmentSample, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Poisson cloud of C^2 unit bumps (quintic smoothstep shoulder) at
+    points ``x`` with cell indices ``idx`` (offset not applied), both (n, d)."""
+    spec = env.spec
+    vmin, vmax = spec.value_range
+    amp = float(spec.bump.get("amplitude", vmax - vmin))
+    radius = float(spec.bump["radius"])
+    intensity = float(spec.bump.get("intensity", 1.0))
+    cap = int(spec.bump.get("max_per_cell", 4))
+    # inverse-CDF Poisson count truncated at ``cap``: the number of table
+    # entries below a cell's draw
+    pmf = np.cumprod([math.exp(-intensity)] + [intensity / k for k in range(1, cap)])
+    cdf = np.cumsum(pmf)[:cap]
+    # every bump k < cap of the own cell and its neighbours (radius <=
+    # cs/2 reaches no further), shape (n, cells, cap); absent bumps add an
+    # exact 0.0, in the order cells, then k
+    near = _NEAR[spec.dimension]
+    cell = idx[:, None, :] + near
+    h = _cell_hash(env.seed, cell + env.lattice_offset)
+    count = np.searchsorted(cdf, _to_unit(h))
+    streams = (2 * np.arange(cap)[:, None] + np.arange(1, spec.dimension + 1)).astype(np.uint64)
+    center = (cell[:, :, None, :] + _to_unit(splitmix64(h[..., None, None] ^ streams))) * spec.cell_size
+    # libm pow, as a float's ** 2, where ndarray ** 2 is x * x
+    u = np.sqrt(np.float_power(x[:, None, None, :] - center, 2).sum(axis=-1)) / radius
+    bump = np.where((np.arange(cap) < count[..., None]) & (u < 1.0), amp * smoothstep(1.0 - u), 0.0)
+    total = sum(bump.reshape(len(x), len(near) * cap).T, np.zeros(len(x)))
+    return np.minimum(vmin + total, vmax)
+
+
 def eval_potential_points(env: EnvironmentSample, points) -> np.ndarray:
-    """V at each row of an (n, d) array of points, one ``eval_potential``
-    call per point."""
-    return np.array([eval_potential(env, x) for x in points])
+    """V at each row of an (n, d) array of points; always inside the
+    declared value range.  Every family is elementwise: a point's value
+    does not depend on the other rows."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != env.dimension:
+        raise ValueError("points must be an (n, d) array of the medium's dimension")
+    spec = env.spec
+    vmin, vmax = spec.value_range
+    if spec.kind == "constant":
+        return np.full(len(x), 0.5 * (vmin + vmax))
+    if spec.kind == "cosine":
+        t = (x[:, 0] + env.lattice_offset[0] * spec.cell_size) / spec.cell_size
+        return 0.5 * (vmin + vmax) + 0.5 * (vmax - vmin) * np.cos(2.0 * np.pi * t)
+    i = np.floor(x / spec.cell_size)
+    idx = i.astype(np.int64)
+    if spec.kind == "checkerboard":
+        return _checkerboard(env, idx + env.lattice_offset, x - i * spec.cell_size)
+    return _poisson_bumps(env, idx, x)
+
+
+def eval_potential(env: EnvironmentSample, x) -> float:
+    """Potential value V(x) at one point: a one-row ``eval_potential_points``."""
+    return float(eval_potential_points(env, np.reshape(np.asarray(x, dtype=float), (1, -1)))[0])
 
 
 def eval_potential_grid(env: EnvironmentSample, axes: list[np.ndarray]) -> np.ndarray:

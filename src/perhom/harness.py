@@ -22,7 +22,7 @@ import typing
 
 import numpy as np
 
-from .environment import EnvSpec, eval_potential, sample_env
+from .environment import EnvSpec, eval_potential_points, sample_env
 from .model import (
     EllipticSpec,
     HamiltonianSpec,
@@ -56,6 +56,8 @@ __all__ = [
     "StudyResult",
     "ResultRow",
     "run_convergence_study",
+    "compute_row",
+    "reference_constants",
     "fit_rate",
     "check_sandwich",
     "emit_csv",
@@ -205,8 +207,8 @@ def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
             raise ValueError("oracle reference needs d = 1")
         box = float(ref.get("box", 256.0))
 
-        def V(x):
-            return eval_potential(spec.env, (x % box,))
+        def V(xs):
+            return eval_potential_points(spec.env, (xs % box)[:, None])
         return hbar_1d_first_order(V, spec.c1, spec.gamma,
                                    [float(np.atleast_1d(p)[0]) for p in ps],
                                    quad_N=int(ref.get("quad_N", 4096)),
@@ -236,6 +238,14 @@ def _reference_elliptic(cfg: StudyConfig, seed: int, Ps) -> list[float]:
             for P in Ps]
 
 
+def reference_constants(cfg: StudyConfig, seed: int, ps) -> list[float]:
+    """Reference constants of one seed's medium at each momentum (HJB) or
+    Hessian offset (elliptic) of ``ps``."""
+    if cfg.model.get("type", "hjb") == "hjb":
+        return _reference_hjb(cfg, seed, ps)
+    return _reference_elliptic(cfg, seed, ps)
+
+
 def _p_label(p) -> str:
     arr = np.atleast_1d(np.asarray(p, dtype=float))
     if arr.size == 1:
@@ -243,7 +253,9 @@ def _p_label(p) -> str:
     return json.dumps([float(v) for v in arr])
 
 
-def _compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> ResultRow:
+def compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> ResultRow:
+    """One study row: the periodized constant of (seed, L, p) against
+    ``ref_value``; a cell solve that does not converge gives a NaN row."""
     t0 = time.perf_counter()
     eta = _eta_for(cfg, L)
     kind = cfg.model.get("type", "hjb")
@@ -296,17 +308,15 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
         for row in load_csv(cfg.out_csv):
             existing[row.key()] = row
 
-    reference = (_reference_hjb if cfg.model.get("type", "hjb") == "hjb"
-                 else _reference_elliptic)
     refs: dict = {}
     for seed in cfg.seeds:
         todo = [p for p in cfg.p_list if any(
             (seed, L, _p_label(p)) not in existing for L in cfg.L_list)]
         if todo:
             refs.update(zip(((seed, _p_label(p)) for p in todo),
-                            reference(cfg, seed, todo)))
+                            reference_constants(cfg, seed, todo)))
 
-    fresh = [_compute_row(cfg, seed, L, p, refs[(seed, _p_label(p))])
+    fresh = [compute_row(cfg, seed, L, p, refs[(seed, _p_label(p))])
              for seed in cfg.seeds for L in cfg.L_list for p in cfg.p_list
              if (seed, L, _p_label(p)) not in existing]
     rows = list(existing.values()) + fresh

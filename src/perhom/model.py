@@ -293,20 +293,26 @@ def verify_structure(spec, samples: int = 2000, box: float = 4.0, seed: int = 0)
     worst_lo_tr = 0.0  # same with the trace norm (standard form, recorded)
     worst_b = abs(eval_F(spec, np.zeros((d, d)), np.zeros(d))) / cst.c_bar
     worst_rho = 0.0
-    for x, y in zip(xs, ys):
+    # each trial point is sampled once: the controls at every x and every y
+    at_x, at_y = spec.coefficients(xs), spec.coefficients(ys)
+
+    def F(ctl, k, X):  # eval_F from the k-th row of sampled controls
+        return max(-float(np.trace(a[k] @ X)) - float(f[k]) for a, f in ctl)
+
+    for k, (x, y) in enumerate(zip(xs, ys)):
         X = rng.uniform(-2, 2, size=(d, d))
         X = 0.5 * (X + X.T)
         B = rng.uniform(-1, 1, size=(d, d))
         Y = B @ B.T  # PSD
         ny = _frob(Y)
         if ny > 1e-9:
-            diff = eval_F(spec, X + Y, x) - eval_F(spec, X, x)
+            diff = F(at_x, k, X + Y) - F(at_x, k, X)
             min_up = min(min_up, diff / (-cst.lambda_bar * ny))
             worst_lo = max(worst_lo, diff / (-cst.Lambda_bar * ny))
             worst_lo_tr = max(worst_lo_tr, diff / (-cst.Lambda_bar * float(np.trace(Y))))
         dxy = np.linalg.norm(x - y)
         if dxy > 0:
-            lhs = abs(eval_F(spec, X, x) - eval_F(spec, X, y))
+            lhs = abs(F(at_x, k, X) - F(at_y, k, X))
             worst_rho = max(worst_rho, lhs / (cst.rho_slope * dxy))
     # min_up >= 1 certifies at least lambda_bar decay per unit ||Y||;
     # worst_lo <= 1 would certify the literal Frobenius lower bound (it can

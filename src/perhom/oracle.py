@@ -8,6 +8,12 @@ flat spot, and otherwise the unique c with
 
 These routines use only quadrature, bisection and golden-section search,
 independent of any finite-difference machinery.
+
+Array contract: the medium functions handed to the oracles (V, a and f)
+map an array of positions to an array of values of the same shape, and
+each oracle samples them with one call per array (a constant return is
+broadcast).  ``brute_force_min`` is the exception: it minimizes a
+function of one point.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 
 from .environment import (
     EnvironmentSample,
-    eval_potential,
     eval_potential_points,
     gauss_legendre_panels,
     lattice_points,
@@ -35,38 +40,46 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section minimizer on [lo, hi]."""
-    a, b = lo, hi
+def _on(fn, xs: np.ndarray) -> np.ndarray:
+    """Values of an array function at the positions ``xs``."""
+    return np.broadcast_to(np.asarray(fn(xs), dtype=float), xs.shape)
+
+
+def _golden_min(fn, lo, hi, tol: float = 1e-12):
+    """Golden-section minimizer of an array function on each bracket
+    [lo_k, hi_k].  Every bracket follows the float sequence of a search on
+    its own, and a finished bracket stops updating; ``fn`` is called once
+    per step, at the brackets still running.  Returns the (x, fn(x))
+    arrays."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
+    fc, fd = _on(fn, c).copy(), _on(fn, d).copy()
+    run = b - a > tol * np.maximum(1.0, np.abs(a) + np.abs(b))
+    while run.any():
+        left = run & (fc < fd)
+        right = run & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))[run]
+        fx = _on(fn, x)
+        c[left], fc[left] = x[left[run]], fx[left[run]]
+        d[right], fd[right] = x[right[run]], fx[right[run]]
+        run &= b - a > tol * np.maximum(1.0, np.abs(a) + np.abs(b))
     x = 0.5 * (a + b)
-    return x, fn(x)
+    return x, _on(fn, x)
 
 
 def _min_periodic(V, period: float, n_seeds: int) -> float:
-    """Global minimum of a periodic scalar function: coarse grid followed by
-    golden-section refinement around the best few seeds."""
+    """Global minimum of a periodic array function: coarse grid followed by
+    golden-section refinement around the best few seeds, as one array of
+    brackets."""
     xs = np.linspace(0.0, period, n_seeds, endpoint=False)
-    vals = np.array([V(x) for x in xs])
-    order = np.argsort(vals)[: max(3, n_seeds // 64)]
+    vals = _on(V, xs)
+    x0 = xs[np.argsort(vals)[: max(3, n_seeds // 64)]]
     h = period / n_seeds
-    best = float(vals.min())
-    for i in order:
-        x0 = xs[i]
-        _, v = _golden_min(V, x0 - h, x0 + h)
-        best = min(best, v)
-    return best
+    _, v = _golden_min(V, x0 - h, x0 + h)
+    return float(min(vals.min(), v.min()))
 
 
 def _sample_box(V, c1: float, gamma: float, quad_N: int, period: float):
@@ -74,7 +87,7 @@ def _sample_box(V, c1: float, gamma: float, quad_N: int, period: float):
     g(c) = (1/period) * integral ((V + c)/c1)^(1/gamma) on those samples."""
     c_flat = -_min_periodic(V, period, quad_N)
     xs, ws = gauss_legendre_panels(period, quad_N)
-    Vx = np.array([V(x) for x in xs])
+    Vx = _on(V, xs)
 
     def g(c: float) -> float:
         integrand = np.maximum(Vx + c, 0.0) / c1
@@ -134,9 +147,8 @@ def hbar_flat_spot_value(env: EnvironmentSample, box: float,
     value -min V and the raw minimum can be compared directly.
     """
     if env.dimension == 1:
-        def V(x):
-            return eval_potential(env, (x,))
-        raw = _min_periodic(V, box, grid_N)
+        raw = _min_periodic(lambda xs: eval_potential_points(env, xs[:, None]),
+                            box, grid_N)
     else:
         xs = np.linspace(0.0, box, grid_N, endpoint=False)
         raw = float(eval_potential_points(env, lattice_points([xs, xs])).min())
@@ -148,27 +160,31 @@ def fbar_linear_1d(a, f, P: float, quad_N: int = 256,
     """Effective constant of F(X, x) = -a(x) X + f(x) in 1D:
     (mean(f/a) - P) / mean(1/a)."""
     xs, ws = gauss_legendre_panels(period, quad_N)
-    av = np.array([a(x) for x in xs])
-    fv = np.array([f(x) for x in xs])
+    av, fv = _on(a, xs), _on(f, xs)
     mean_fa = float(np.dot(ws, fv / av)) / period
     mean_ia = float(np.dot(ws, 1.0 / av)) / period
     return (mean_fa - P) / mean_ia
 
 
 def brute_force_min(fn, box, N: int = 256):
-    """Grid minimum over [0, box]^d followed by golden-section refinement
-    in the winning cell (axis by axis for d = 2). Returns (value, point)."""
+    """Grid minimum over [0, box]^d of a function of one point, followed
+    by golden-section refinement in the winning cell (axis by axis for
+    d = 2). Returns (value, point)."""
     if N < 2:
         raise ValueError("N must be >= 2")
     box = np.atleast_1d(np.asarray(box, dtype=float))
     d = box.size
+
+    def refine(f, lo, hi):  # one bracket, through a per-point adapter
+        x, v = _golden_min(lambda ts: [f(t) for t in ts], [lo], [hi])
+        return x[0], v[0]
+
     if d == 1:
         xs = np.linspace(0.0, box[0], N)
         vals = np.array([fn(x) for x in xs])
         i = int(np.argmin(vals))
         h = box[0] / (N - 1)
-        lo, hi = max(0.0, xs[i] - h), min(box[0], xs[i] + h)
-        x, v = _golden_min(fn, lo, hi)
+        x, v = refine(fn, max(0.0, xs[i] - h), min(box[0], xs[i] + h))
         if v <= vals[i]:
             return v, np.array([x])
         return float(vals[i]), np.array([xs[i]])
@@ -180,9 +196,9 @@ def brute_force_min(fn, box, N: int = 256):
     px, py = xs[i], ys[j]
     best = float(grid[i, j])
     for _ in range(6):  # coordinate descent with golden section
-        px, _ = _golden_min(lambda x: fn(np.array([x, py])),
-                            max(0.0, px - hx), min(box[0], px + hx))
-        py, v = _golden_min(lambda y: fn(np.array([px, y])),
-                            max(0.0, py - hy), min(box[1], py + hy))
+        px, _ = refine(lambda x: fn(np.array([x, py])),
+                       max(0.0, px - hx), min(box[0], px + hx))
+        py, v = refine(lambda y: fn(np.array([px, y])),
+                       max(0.0, py - hy), min(box[1], py + hy))
         best = min(best, v)
     return best, np.array([px, py])

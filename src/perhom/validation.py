@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .environment import EnvSpec, eval_potential, sample_env, shift_env
+from .environment import EnvSpec, eval_potential_points, sample_env, shift_env
 from .model import HamiltonianSpec, StructuralConstants
 from .periodize import CutoffProfile, choose_H0_constant, eval_cutoff
 from .hjb_solver import (_discretize, _gradient_cap, _operator, default_theta,
@@ -52,11 +52,12 @@ def _stationarity_bits() -> tuple[bool, str]:
     # dyadic points: x + z is exactly representable, so covariance must be
     # bit-for-bit
     xs = np.arange(0, 4096, 7) / 1024.0
-    for x in xs:
-        a = eval_potential(shifted, (x,))
-        b = eval_potential(env, (x + z[0],))
-        if a != b:
-            return False, f"bit mismatch at x={x}: {a!r} vs {b!r}"
+    a = eval_potential_points(shifted, xs[:, None])
+    b = eval_potential_points(env, (xs + z[0])[:, None])
+    bad = np.flatnonzero(a != b)
+    if bad.size:
+        k = bad[0]
+        return False, f"bit mismatch at x={xs[k]}: {a[k]!r} vs {b[k]!r}"
     return True, f"{xs.size} dyadic points bit-identical under shift"
 
 
@@ -115,8 +116,8 @@ def _coercivity_sandwich() -> tuple[bool, str]:
     # V = 2 + cos(2 pi x) in [1, 3]; C = 3 certifies the sandwich
     C, g, c1 = 3.0, 2.0, 1.0
 
-    def V(x):
-        return 2.0 + math.cos(2.0 * math.pi * x)
+    def V(xs):
+        return 2.0 + np.cos(2.0 * np.pi * xs)
 
     for p in (0.0, 1.0, 3.0):
         h = hbar_1d_first_order(V, c1, g, p, quad_N=512)

@@ -1,5 +1,4 @@
-import math
-
+import numpy as np
 import pytest
 
 from perhom import (
@@ -24,7 +23,7 @@ def cosine_hjb(cosine_env):
 
 @pytest.fixture
 def cosine_V():
-    return lambda x: 2.0 + math.cos(2.0 * math.pi * x)
+    return lambda x: 2.0 + np.cos(2.0 * np.pi * x)
 
 
 @pytest.fixture
@@ -35,21 +34,22 @@ def checkerboard_env():
 
 @pytest.fixture
 def sample_counter(monkeypatch):
-    """Route every perhom module's reference to ``eval_potential`` through a
-    counter; the returned list grows by one sampled point per call."""
+    """Route every perhom module's reference to ``eval_potential_points``
+    through a counter; the returned list grows by one entry per sampled
+    point (row)."""
     import sys
 
     from perhom import environment
 
-    sample = environment.eval_potential
+    sample = environment.eval_potential_points
     points = []
 
-    def counted(env, x):
-        points.append(x)
-        return sample(env, x)
+    def counted(env, xs):
+        points.extend(np.asarray(xs, dtype=float))
+        return sample(env, xs)
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "perhom" and \
-                getattr(mod, "eval_potential", None) is sample:
-            monkeypatch.setattr(mod, "eval_potential", counted)
+                getattr(mod, "eval_potential_points", None) is sample:
+            monkeypatch.setattr(mod, "eval_potential_points", counted)
     return points

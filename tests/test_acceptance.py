@@ -95,7 +95,7 @@ def test_criterion_1_constant_medium_exactness():
 def test_criterion_2_cosine_oracle_agreement():
     t0 = time.perf_counter()
     spec = _cosine_hjb()
-    V = lambda x: 2.0 + math.cos(2.0 * math.pi * x)
+    V = lambda x: 2.0 + np.cos(2.0 * np.pi * x)
     worst = 0.0
     flat_value = None
     for p in (0.0, 0.5, 2.0, 5.0):
@@ -115,7 +115,7 @@ def test_criterion_2_cosine_oracle_agreement():
 def test_criterion_3_flat_spot_variation():
     t0 = time.perf_counter()
     spec = _cosine_hjb()
-    V = lambda x: 2.0 + math.cos(2.0 * math.pi * x)
+    V = lambda x: 2.0 + np.cos(2.0 * np.pi * x)
     w = flat_spot_halfwidth(V, 1.0, 2.0)
     ps = [0.0, 0.3 * w, 0.6 * w, 0.9 * w]
     vals = [_cosine_reference(spec, p) for p in ps]
@@ -199,8 +199,8 @@ def test_criterion_6_elliptic_oracle_agreement():
                               lambda_bar=0.5, Lambda_bar=2.5)
     spec = linear_elliptic_spec(None, {"inv_cos": [0.5]}, {"cos": [0.5, 0.2]},
                                 cst, dimension=1)
-    a = lambda x: 1.0 / (1.0 + 0.5 * math.cos(2.0 * math.pi * x))
-    f = lambda x: 0.5 + 0.2 * math.cos(2.0 * math.pi * x)
+    a = lambda x: 1.0 / (1.0 + 0.5 * np.cos(2.0 * np.pi * x))
+    f = lambda x: 0.5 + 0.2 * np.cos(2.0 * np.pi * x)
     worst_grid = 0.0
     med = {}
     per_P_errs = {L: [] for L in (4.0, 8.0, 16.0)}

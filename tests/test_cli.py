@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -85,7 +84,7 @@ def test_hbar_prints_oracle_value(capsys, tmp_path):
     cfg = _hjb_config(tmp_path)
     assert main(["hbar", "--config", cfg]) == 0
     out = capsys.readouterr().out.strip()
-    V = lambda x: 2.0 + math.cos(2.0 * math.pi * x)
+    V = lambda x: 2.0 + np.cos(2.0 * np.pi * x)
     assert float(out) == pytest.approx(
         hbar_1d_first_order(V, 1.0, 2.0, 2.5), abs=1e-9)
 
@@ -108,7 +107,7 @@ def test_hbar_l_value_and_json_out(capsys, tmp_path):
     assert saved["value"] == value
     # cosine medium, 4-periodic cell: near the 1-periodic constant up to
     # the O(eta) boundary-layer perturbation
-    V = lambda x: 2.0 + math.cos(2.0 * math.pi * x)
+    V = lambda x: 2.0 + np.cos(2.0 * np.pi * x)
     assert abs(value - hbar_1d_first_order(V, 1.0, 2.0, 2.5)) <= 0.3
 
 

@@ -8,6 +8,7 @@ from perhom import (
     EnvSpec,
     dependence_range,
     eval_potential,
+    eval_potential_points,
     eval_sigma,
     sample_env,
     shift_env,
@@ -30,8 +31,40 @@ def _splitmix_reference(x):
 
 
 def test_splitmix_matches_reference():
-    for x in (0, 1, 42, 2**63, 0xDEADBEEF):
+    xs = (0, 1, 42, 2**63, 0xDEADBEEF)
+    for x in xs:
         assert splitmix64(x) == _splitmix_reference(x)
+    # uint64 arrays wrap mod 2^64 like the reference
+    out = splitmix64(np.array(xs, dtype=np.uint64))
+    assert [int(v) for v in out] == [_splitmix_reference(x) for x in xs]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind,kwargs", [
+    ("constant", {}),
+    ("cosine", {}),
+    ("checkerboard", {}),
+    ("checkerboard", {"mollify_radius": 0.25}),
+    ("poisson_bump", {"bump": {"radius": 0.4, "intensity": 1.5,
+                               "amplitude": 1.5, "max_per_cell": 3}}),
+])
+def test_points_equal_rows_bit_for_bit(kind, kwargs, dim):
+    # a sample must not depend on the other rows of its array
+    spec = EnvSpec(kind=kind, dimension=dim, value_range=(0.5, 3.0),
+                   cell_size=0.8, **kwargs)
+    pts = np.random.default_rng(5).uniform(-20, 20, size=(300, dim))
+    for env in (sample_env(spec, 31), shift_env(sample_env(spec, 31), (4,) * dim)):
+        rows = [eval_potential(env, x) for x in pts]
+        assert eval_potential_points(env, pts).tolist() == rows
+        assert eval_potential_points(env, pts[:0]).shape == (0,)
+
+
+def test_points_reject_wrong_shape():
+    env = sample_env(EnvSpec(kind="cosine", dimension=2, value_range=(0.0, 1.0)), 0)
+    with pytest.raises(ValueError):
+        eval_potential_points(env, np.zeros(4))
+    with pytest.raises(ValueError):
+        eval_potential(env, (0.1,))
 
 
 def test_constant_family_is_constant():

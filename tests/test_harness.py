@@ -176,9 +176,9 @@ def test_study_runs_and_columns_sane(tmp_path):
 def test_row_samples_each_node_once(sample_counter):
     # sigma comes from the same sample as V, and the theta and 2 theta
     # solves read one discretized cell
-    from perhom.harness import _compute_row
+    from perhom.harness import compute_row
     cfg = _tiny_config(solver={"tol": 1e-7, "dissipation_extrapolation": True})
-    row = _compute_row(cfg, 1, 4.0, 1.0, 0.0)
+    row = compute_row(cfg, 1, 4.0, 1.0, 0.0)
     assert math.isfinite(row.constant_L)
     assert len(sample_counter) == 4 * 8  # L = 4, 8 nodes per unit
 
@@ -200,8 +200,8 @@ def test_oracle_study_samples_each_box_point_once(monkeypatch, sample_counter):
     rows = run_convergence_study(cfg).rows
     env = harness._hjb_spec(cfg, 1).env
 
-    def V(x):
-        return harness.eval_potential(env, (x % 16.0,))
+    def V(xs):
+        return harness.eval_potential_points(env, (xs % 16.0)[:, None])
     start = len(sample_counter)
     singles = {repr(p): oracle(V, 1.0, 2.0, p, quad_N=1024, period=16.0)
                for p in (0.0, 1.0, 2.0)}

@@ -180,3 +180,23 @@ def test_elliptic_spec_validation():
         EllipticSpec(env=None, family="bellman",
                      controls=tuple({"a": {"const": 1.0}} for _ in range(9)),
                      constants=cst)
+
+
+def test_verify_structure_elliptic_samples_each_trial_point_once(sample_counter):
+    # the controls at x and at y of every trial come from one sampling
+    # each, plus the origin for the F(0, 0) bound
+    env = sample_env(EnvSpec(kind="checkerboard", dimension=2,
+                             value_range=(0.0, 3.0), mollify_radius=0.25), 3)
+    spec = EllipticSpec(
+        env=env, family="bellman", dimension=2,
+        constants=StructuralConstants(lambda_bar=0.5, Lambda_bar=4.0, c_bar=2.0,
+                                      rho_slope=10.0),
+        controls=(
+            {"matrix": [[1.0, 0.0], [0.0, 1.0]], "a": {"affine_of_V": [0.2, 1.0]},
+             "f": {"affine_of_V": [-0.5, 0.2]}},
+            {"matrix": [[1.5, 0.2], [0.2, 1.0]], "a": {"affine_of_V": [-0.15, 1.8]},
+             "f": {"const": 0.1}},
+        ))
+    report = verify_structure(spec, samples=50)
+    assert len(sample_counter) == 101
+    assert report["Felliptic_upper"]["passed"]

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from perhom import (
     EnvSpec,
     brute_force_min,
+    eval_potential_points,
     fbar_linear_1d,
     flat_spot_halfwidth,
     hbar_1d_first_order,
     hbar_flat_spot_value,
     sample_env,
 )
+from perhom.oracle import _golden_min
 
 
 def test_flat_value_is_minus_min(cosine_V):
@@ -52,7 +54,7 @@ def test_inversion_self_consistency(cosine_V):
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(1.0, 4.0))
 def test_hbar_monotone_and_coercive(p):
-    V = lambda x: 2.0 + math.cos(2.0 * math.pi * x)
+    V = lambda x: 2.0 + np.cos(2.0 * np.pi * x)
     c = hbar_1d_first_order(V, 1.0, 2.0, p)
     c2 = hbar_1d_first_order(V, 1.0, 2.0, p + 0.25)
     assert c2 >= c - 1e-9
@@ -79,7 +81,7 @@ def test_flat_spot_value_both_conventions():
 
 def test_fbar_linear_harmonic_mean():
     # a = 1/(1 + 0.5 cos), f = 0: mean(1/a) = 1, so c = -P exactly
-    a = lambda x: 1.0 / (1.0 + 0.5 * math.cos(2 * math.pi * x))
+    a = lambda x: 1.0 / (1.0 + 0.5 * np.cos(2 * np.pi * x))
     f = lambda x: 0.0
     for P in (-1.0, 0.0, 2.0):
         assert fbar_linear_1d(a, f, P) == pytest.approx(-P, abs=1e-12)
@@ -119,3 +121,17 @@ def test_custom_period(cosine_V):
     a = hbar_1d_first_order(cosine_V, 1.0, 2.0, 2.5, period=1.0)
     b = hbar_1d_first_order(cosine_V, 1.0, 2.0, 2.5, period=2.0, quad_N=512)
     assert a == pytest.approx(b, abs=1e-8)
+
+
+def test_golden_min_brackets_match_single_searches():
+    # brackets of different widths finish at different steps; each must
+    # follow the float sequence of its own one-bracket search
+    env = sample_env(EnvSpec(kind="checkerboard", dimension=1,
+                             value_range=(0.0, 3.0), mollify_radius=0.25), 9)
+    V = lambda xs: eval_potential_points(env, xs[:, None])
+    lo = np.array([0.1, 3.0, 7.25, -4.0, 12.0])
+    hi = lo + np.array([0.5, 2.0, 1e-3, 8.0, 0.3])
+    xs, vs = _golden_min(V, lo, hi)
+    for k in range(lo.size):
+        x1, v1 = _golden_min(V, lo[k:k + 1], hi[k:k + 1])
+        assert (xs[k], vs[k]) == (x1[0], v1[0])
