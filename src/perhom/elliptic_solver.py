@@ -17,7 +17,6 @@ the unknown constant for the cell.  ``max_iter`` bounds its steps.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  (patched by perfbench/layer_trace.py)
 
 from .environment import gauss_legendre_panels
@@ -28,6 +27,7 @@ from .hjb_solver import (
     SolverParams,
     TorusGrid,
     _check_period,
+    _neighbours,
     _newton,
     corrector_lipschitz,
 )
@@ -101,59 +101,29 @@ def ergodic_constant_1d_exact(spec, P: float, quadrature_N: int = 256,
 
 # --- monotone discretization ---------------------------------------------
 
-def _trace_operator_matrix(grid: TorusGrid, mats: np.ndarray) -> sp.csr_matrix:
-    """Sparse matrix of u -> tr(A(x) D^2_h u) with the monotone stencil."""
-    d = grid.dimension
+def _trace_weights(grid: TorusGrid, mats: np.ndarray) -> np.ndarray:
+    """Weights of the monotone stencil of u -> tr(A(x) D^2_h u), one row per
+    offset: the node, +-e_i per axis, and in 2D the diagonal neighbours
+    (+1, +1), (-1, -1), (+1, -1), (-1, +1)."""
     hs = grid.spacings
-    n = int(np.prod(grid.shape))
-    idx = np.arange(n).reshape(grid.shape)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(grid.shape)
-
-    def add(shift_axes, coeff):
-        tgt = idx
-        for ax, s in shift_axes:
-            tgt = np.roll(tgt, -s, axis=ax)
-        rows.append(idx.ravel())
-        cols.append(tgt.ravel())
-        vals.append(coeff.ravel())
-
-    if d == 1:
-        a = mats[..., 0, 0]
-        c = a / hs[0] ** 2
-        add([(0, 1)], c)
-        add([(0, -1)], c)
-        diag -= 2.0 * c
+    if grid.dimension == 1:
+        c = mats[..., 0, 0] / hs[0] ** 2
+        w = [-2.0 * c, c, c]
     else:
-        a11 = mats[..., 0, 0]
-        a22 = mats[..., 1, 1]
         a12 = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
         if np.any(np.abs(a12) > 1e-14) and abs(hs[0] - hs[1]) > 1e-12 * hs[0]:
             raise NonConvergenceError("cross-term stencil needs a square grid")
         h2 = hs[0] * hs[1]
-        ax_x = (a11 - np.abs(a12)) / hs[0] ** 2
-        ax_y = (a22 - np.abs(a12)) / hs[1] ** 2
+        ax_x = (mats[..., 0, 0] - np.abs(a12)) / hs[0] ** 2
+        ax_y = (mats[..., 1, 1] - np.abs(a12)) / hs[1] ** 2
         if np.any(ax_x < -1e-12) or np.any(ax_y < -1e-12):
             raise NonConvergenceError(
                 "coefficient matrix not diagonally dominant: monotone stencil infeasible")
-        add([(0, 1)], ax_x)
-        add([(0, -1)], ax_x)
-        add([(1, 1)], ax_y)
-        add([(1, -1)], ax_y)
-        diag -= 2.0 * (ax_x + ax_y)
         apos = np.maximum(a12, 0.0) / h2
         aneg = np.maximum(-a12, 0.0) / h2
-        add([(0, 1), (1, 1)], apos)
-        add([(0, -1), (1, -1)], apos)
-        add([(0, 1), (1, -1)], aneg)
-        add([(0, -1), (1, 1)], aneg)
-        diag -= 2.0 * (apos + aneg)
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+        w = [-2.0 * (ax_x + ax_y) - 2.0 * (apos + aneg), ax_x, ax_x, ax_y,
+             ax_y, apos, apos, aneg, aneg]
+    return np.stack([x.ravel() for x in w])
 
 
 def _bellman_scheme(spec, P, grid: TorusGrid, coord_scale: float):
@@ -161,28 +131,32 @@ def _bellman_scheme(spec, P, grid: TorusGrid, coord_scale: float):
     sampled at coord_scale * node, in the form ``hjb_solver._newton``
     takes: F(u) = max over controls k of -L_k u - (tr(A_k P) + f_k), and
     J(u, delta) = delta I - L_k row by row, k the control active at u.
-    Each control's trace operator L_k and affine term are built once."""
+    Each control's stencil weights and affine term are computed once; the
+    diagonal neighbours join the stencil only if a control has a cross term.
+    """
     d = grid.dimension
     P = np.asarray(P, dtype=float).reshape(d, d)
-    ops = []
+    weights, gs = [], []
     for mats, fs in spec.coefficients(grid.nodes() * coord_scale):
         mats = mats.reshape(grid.shape + (d, d))
-        ops.append((_trace_operator_matrix(grid, mats),
-                    np.einsum("...ij,ji->...", mats, P).ravel() + fs))
+        weights.append(_trace_weights(grid, mats))
+        gs.append(np.einsum("...ij,ji->...", mats, P).ravel() + fs)
+    W, g = np.stack(weights), np.stack(gs)  # (controls, k, n), (controls, n)
+    cols = _neighbours(grid, diagonal=bool(np.any(W[:, 1 + 2 * d:] != 0.0)))
+    W = W[:, :len(cols)]
 
     def controls(u):
-        return np.stack([-(Lk @ u.ravel()) - g for Lk, g in ops])
+        return -np.sum(W * u.ravel()[cols], axis=1) - g
 
     def F(u):
         return np.max(controls(u), axis=0).reshape(u.shape)
 
     def J(u, delta):
-        best = np.argmax(controls(u), axis=0)
-        active = sum(sp.diags((best == k).astype(float)) @ Lk
-                     for k, (Lk, _) in enumerate(ops))
-        return (delta * sp.identity(u.size) - active).tocsc()
+        vals = -W[np.argmax(controls(u), axis=0), :, np.arange(u.size)].T
+        vals[0] += delta
+        return vals
 
-    return F, J
+    return F, J, cols
 
 
 def solve_resolvent(spec, P, L: float, grid: TorusGrid,
@@ -193,8 +167,8 @@ def solve_resolvent(spec, P, L: float, grid: TorusGrid,
     linear controls solve in one step.  Raises NonConvergenceError when the
     tolerance is out of reach within ``max_iter`` steps.
     """
-    F, J = _bellman_scheme(spec, P, grid, coord_scale=L)
-    u, _, history = _newton(F, J, np.zeros(grid.shape), 1.0, params.tol,
+    u, _, history = _newton(*_bellman_scheme(spec, P, grid, coord_scale=L),
+                            np.zeros(grid.shape), 1.0, params.tol,
                             params.max_iter)
     res = history[-1]
     if not res <= params.tol:
@@ -213,8 +187,8 @@ def ergodic_constant_periodic_elliptic(prob, P, grid: TorusGrid,
     chi = 0; ``max_iter`` bounds its steps.
     """
     _check_period(prob, grid)
-    F, J = _bellman_scheme(prob, P, grid, coord_scale=1.0)
-    u, c, history = _newton(F, J, np.zeros(grid.shape), 0.0, params.tol,
+    u, c, history = _newton(*_bellman_scheme(prob, P, grid, coord_scale=1.0),
+                            np.zeros(grid.shape), 0.0, params.tol,
                             params.max_iter)
     res = history[-1]
     if not res <= params.tol:

@@ -140,7 +140,7 @@ class _GridProblem:
     coefficient a(x) per axis at the grid nodes, read from the spec's one
     ``coefficients`` method (V sampled once per node).  The solvers accept
     it in place of a spec, so several solves (theta and 2 theta, a
-    sequence of discounts) share one discretization.
+    sequence of discounts) share one discretization and its stencil.
     """
 
     grid: TorusGrid
@@ -148,6 +148,20 @@ class _GridProblem:
     c1: np.ndarray
     V: np.ndarray
     a: np.ndarray  # shape (d,) + grid.shape
+    cols: np.ndarray  # _neighbours(grid), shape (1 + 2d, n)
+
+
+def _neighbours(grid: TorusGrid, diagonal: bool = False) -> np.ndarray:
+    """Column table of a stencil: row t holds the t-th neighbour of each node
+    i (row-major) on the torus: i, i +- e_k for each axis k, then with
+    ``diagonal`` (2D) i +- (1, 1) and i +- (1, -1).  No two are equal."""
+    idx = np.arange(int(np.prod(grid.shape))).reshape(grid.shape)
+    eye = np.eye(grid.dimension, dtype=int)  # np.roll by -e_k reads i + e_k
+    shifts = [0 * eye[0]] + [-s * e for e in eye for s in (1, -1)]
+    if diagonal:
+        shifts += [(-1, -1), (1, 1), (-1, 1), (1, -1)]
+    axes = tuple(range(grid.dimension))
+    return np.stack([np.roll(idx, s, axis=axes).ravel() for s in shifts])
 
 
 def _discretize(spec, grid: TorusGrid) -> _GridProblem:
@@ -160,7 +174,8 @@ def _discretize(spec, grid: TorusGrid) -> _GridProblem:
     return _GridProblem(grid=grid, gamma=spec.gamma, c1=c1.reshape(shape),
                         V=V.reshape(shape),
                         a=np.broadcast_to(a.reshape(shape),
-                                          (grid.dimension,) + shape).copy())
+                                          (grid.dimension,) + shape).copy(),
+                        cols=_neighbours(grid))
 
 
 # theta is this factor above the slope of H at the first-order gradient
@@ -227,7 +242,8 @@ def _stencil(prob: _GridProblem, u: np.ndarray, p, theta):
     p = np.atleast_1d(np.asarray(p, dtype=float))
     axes = []
     for i, h in enumerate(prob.grid.spacings):
-        up, um = np.roll(u, -1, axis=i), np.roll(u, 1, axis=i)
+        up, um = (u.ravel()[prob.cols[t]].reshape(u.shape)
+                  for t in (1 + 2 * i, 2 + 2 * i))
         axes.append((up, um, p[i] + (up - um) / (2.0 * h),
                      (prob.a[i] + 0.5 * theta[i] * h) / h ** 2))
     return axes, np.sqrt(sum(q * q for _, _, q, _ in axes))
@@ -245,52 +261,73 @@ def _operator(prob: _GridProblem, u: np.ndarray, p, theta,
 
 
 def _jacobian(prob: _GridProblem, u: np.ndarray, p, theta, R: np.ndarray,
-              delta: float):
-    """Sparse Jacobian of delta*u + ``_operator`` in the node values.
+              delta: float) -> np.ndarray:
+    """Jacobian of delta*u + ``_operator`` on the stencil ``prob.cols``.
 
     Off the diagonal every entry is +-dH/dq_i / (2 h_i) - (a_i + theta_i h_i
     / 2) / h_i^2 < 0, since the extension keeps |dH/dq_i| below theta_i:
     the scheme is monotone.
     """
-    n = u.size
-    idx = np.arange(n).reshape(u.shape)
     axes, r = _stencil(prob, u, p, theta)
     # dH/dq_i = (dH/dr) q_i / r, and 0 at q = 0 (gamma > 1)
     fac = _extended_H(prob, r, R)[1] / np.where(r > 0.0, r, 1.0)
-    rows, cols, vals = [idx.ravel()], [idx.ravel()], []
-    diag = np.full(u.shape, delta)
-    for i, ((_, _, q, k), h) in enumerate(zip(axes, prob.grid.spacings)):
+    diag, vals = np.full(u.shape, delta), []
+    for (_, _, q, k), h in zip(axes, prob.grid.spacings):
         hq = fac * q / (2.0 * h)
         diag = diag + 2.0 * k
-        for shift, v in ((-1, hq - k), (1, -hq - k)):
-            rows.append(idx.ravel())
-            cols.append(np.roll(idx, shift, axis=i).ravel())
-            vals.append(v.ravel())
-    vals.insert(0, diag.ravel())
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+        vals += [hq - k, -hq - k]
+    return np.stack([diag] + vals).reshape(len(prob.cols), -1)
 
 
-def _newton(F, J, u: np.ndarray, delta: float, tol: float, max_steps: int):
+def _hjb_scheme(prob: _GridProblem, p, theta):
+    """The capped Lax-Friedrichs scheme as ``_newton`` takes it: F, J, cols."""
+    R = _gradient_cap(prob, theta)
+    return (lambda v: _operator(prob, v, p, theta, R),
+            lambda v, dl: _jacobian(prob, v, p, theta, R, dl), prob.cols)
+
+
+def _pattern(rows: np.ndarray, cols: np.ndarray, src: np.ndarray, n: int):
+    """The n x n CSC pattern with entry e at (rows[e], cols[e]) as (take,
+    indices, indptr), where data = values[take] puts values[src[e]] at e:
+    tagged e + 1 in COO form, the entries leave the conversion in order."""
+    tags = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                         shape=(n, n))
+    return src[tags.data.astype(np.intp) - 1], tags.indices, tags.indptr
+
+
+def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
+            max_steps: int):
     """Full Newton (Howard) steps on a monotone, convex scheme, until the
     residual is <= tol or non-finite, or after ``max_steps`` steps.
 
-    ``F(u)`` is the scheme's operator at the nodes and ``J(u, delta)`` the
-    sparse Jacobian of delta u + F(u).  delta > 0: delta u + F(u) = 0; the
-    delta diagonal makes the Jacobian an M-matrix, and Howard's algorithm
-    converges from any start.  delta = 0: F(u) = c, with c one more
-    unknown and u pinned to 0 at node 0, which borders the singular
-    Jacobian with a column of -1.  Returns (u, c, sup-norm residual
-    history); the Newton steps taken are len(history) - 1.
+    ``F(u)`` is the scheme's operator at the nodes, and ``J(u, delta)`` the
+    Jacobian of delta u + F(u) on its stencil: entry [t, i] of the (k, n)
+    array sits in row i, column ``cols[t, i]``; no row repeats a column.
+    delta > 0: delta u + F(u) = 0, an M-matrix system that Howard's
+    algorithm solves from any start.  delta = 0: F(u) = c with u = 0 at
+    node 0, so the matrix is [J[:, 1:], -1] and c is the last unknown.
+    Keep that form: at steep iterates its condition number passes 1e16,
+    so the steps follow the solver's rounding, and eliminating node 0 by a
+    Schur complement instead overflowed.
+
+    One call is one phase: one sparsity pattern, filled by one gather per
+    step, and one COLAMD column ordering, which SuperLU computes in the
+    first step and gets pre-applied in the later ones.  Returns (u, c,
+    sup-norm residual history); the steps taken are len(history) - 1.
     """
-    shape, n = u.shape, u.size
-    c = 0.0
+    shape, n, c = u.shape, u.size, 0.0
+    rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
+    cols = cols.ravel()
+    src = np.arange(cols.size)  # entry e takes the e-th value of J
     if delta == 0.0:
         u = u - u.flat[0]
         c = float(np.mean(F(u)))
-        border = sp.csc_matrix(-np.ones((n, 1)))
-    history = []
+        keep = cols != 0  # [J[:, 1:], -1]; the -1 is appended to J's values
+        rows = np.concatenate((rows[keep], np.arange(n)))
+        src = np.concatenate((src[keep], np.full(n, cols.size)))
+        cols = np.concatenate((cols[keep] - 1, np.full(n, n - 1)))
+    take, indices, indptr = _pattern(rows, cols, src, n)
+    perm, history = None, []
     while True:
         # v^delta carries a constant of size |H-bar|/delta; centering before
         # the finite differences keeps the residual roundoff at the O(1)
@@ -301,12 +338,23 @@ def _newton(F, J, u: np.ndarray, delta: float, tol: float, max_steps: int):
         if history[-1] <= tol or len(history) > max_steps or \
                 not np.isfinite(history[-1]):
             return u, c, history
-        Ju = J(u, delta)
-        if delta > 0.0:
-            u = u - spla.spsolve(Ju, r.ravel()).reshape(shape)
+        if take is None:  # column j moves to perm[j], once per phase
+            take, indices, indptr = _pattern(rows, perm[cols], src, n)
+        A = sp.csc_matrix((np.append(J(u, delta), -1.0)[take], indices, indptr),
+                          shape=(n, n))
+        if perm is None:
+            try:
+                lu = spla.splu(A)  # COLAMD, as spsolve orders by default
+            except RuntimeError:  # exactly singular: a NaN step ends the phase
+                w = np.full(n, np.nan)
+            else:
+                w, perm, take = lu.solve(r.ravel()), lu.perm_c.copy(), None
+                del lu  # a view of perm_c would keep the factors alive
         else:
-            w = spla.spsolve(sp.hstack([Ju[:, 1:], border], format="csc"),
-                             r.ravel())
+            w = spla.spsolve(A, r.ravel(), permc_spec="NATURAL")[perm]
+        if delta > 0.0:
+            u = u - w.reshape(shape)
+        else:
             u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
             c -= float(w[-1])
 
@@ -332,9 +380,7 @@ def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridF
         raise ValueError("solve_delta_problem needs delta > 0")
     prob = _discretize(spec, grid)
     theta = params.lf_theta or default_theta(spec, p, grid)
-    R = _gradient_cap(prob, theta)
-    u, _, history = _newton(lambda v: _operator(prob, v, p, theta, R),
-                            lambda v, dl: _jacobian(prob, v, p, theta, R, dl),
+    u, _, history = _newton(*_hjb_scheme(prob, p, theta),
                             np.zeros(grid.shape), params.delta, params.tol,
                             params.max_iter)
     res = history[-1]
@@ -346,11 +392,11 @@ def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridF
     if float(np.max(np.abs(u))) > 1.01 * bound + params.tol / params.delta:
         raise NonConvergenceError("discounted solution violates the sup bound",
                                   history)
+    above = _stencil(prob, u, p, theta)[1] > _gradient_cap(prob, theta)
     return GridField(grid=grid, values=u,
                      info={"residual": res, "iterations": len(history) - 1,
                            "theta": tuple(theta), "delta": params.delta,
-                           "nodes_above_cap": int(np.count_nonzero(
-                               _stencil(prob, u, p, theta)[1] > R))})
+                           "nodes_above_cap": int(np.count_nonzero(above))})
 
 
 def corrector_lipschitz(fld: GridField) -> float:
@@ -388,24 +434,22 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
     _check_period(prob, grid)
     gprob = _discretize(prob, grid)
     theta = params.lf_theta or default_theta(prob, p, grid)
-    R = _gradient_cap(gprob, theta)
-    F = lambda v: _operator(gprob, v, p, theta, R)
-    J = lambda v, dl: _jacobian(gprob, v, p, theta, R, dl)
+    scheme = _hjb_scheme(gprob, p, theta)
     u = np.zeros(grid.shape) if init is None else np.reshape(init, grid.shape)
-    u, _, warmup = _newton(F, J, u, 1.0, params.tol, params.max_iter)
-    u, c, history = _newton(F, J, u, 0.0, params.tol, params.max_iter)
+    u, _, warmup = _newton(*scheme, u, 1.0, params.tol, params.max_iter)
+    u, c, history = _newton(*scheme, u, 0.0, params.tol, params.max_iter)
     res = history[-1]
     if not res <= params.tol:
         raise NonConvergenceError(
             f"ergodic solve stalled at residual {res:.3e}", warmup + history)
     fld = GridField(grid=grid, values=u, info={"residual": res})
+    above = _stencil(gprob, u, p, theta)[1] > _gradient_cap(gprob, theta)
     return ErgodicEstimate(
         value=c, residual=res, iterations=len(warmup) + len(history) - 2,
         corrector=fld, lipschitz_estimate=corrector_lipschitz(fld),
         converged=True,
         info={"theta": tuple(theta),
-              "nodes_above_cap": int(np.count_nonzero(
-                  _stencil(gprob, u, p, theta)[1] > R))})
+              "nodes_above_cap": int(np.count_nonzero(above))})
 
 
 def _theta_extrapolated(solve, params: SolverParams, theta, value):

@@ -169,12 +169,10 @@ def test_measured_lipschitz_below_declared(kind, kwargs):
     env = sample_env(spec, seed=23)
     bound = potential_lipschitz_bound(env)
     rng = np.random.default_rng(2)
-    worst = 0.0
-    for _ in range(10_000):
-        x = rng.uniform(-10, 10)
-        h = rng.uniform(1e-5, 1e-2)
-        worst = max(worst, abs(eval_potential(env, (x + h,))
-                               - eval_potential(env, (x,))) / h)
+    # the (x, h) pairs of 10,000 alternating scalar draws
+    x, h = rng.uniform([-10, 1e-5], [10, 1e-2], size=(10_000, 2)).T
+    worst = float(np.max(np.abs(eval_potential_points(env, (x + h)[:, None])
+                                - eval_potential_points(env, x[:, None])) / h))
     assert worst <= 1.01 * bound
 
 
@@ -186,12 +184,11 @@ def test_independence_proxy_correlation():
     us, vs = [], []
     for seed in range(32):
         env = sample_env(spec, seed)
-        for _ in range(320):
-            x = rng.uniform(0, 50)
-            y = x + D + rng.uniform(0.1, 10)
-            us.append(eval_potential(env, (x,)))
-            vs.append(eval_potential(env, (y,)))
-    corr = np.corrcoef(us, vs)[0, 1]
+        # per point, x then the offset of y, as 320 pairs of scalar draws
+        x, off = rng.uniform([0, 0.1], [50, 10], size=(320, 2)).T
+        us.append(eval_potential_points(env, x[:, None]))
+        vs.append(eval_potential_points(env, (x + D + off)[:, None]))
+    corr = np.corrcoef(np.concatenate(us), np.concatenate(vs))[0, 1]
     assert abs(corr) < 0.05
 
 

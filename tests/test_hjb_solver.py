@@ -1,8 +1,13 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from perhom import (
+    EllipticSpec,
     EnvSpec,
     GridField,
     HamiltonianSpec,
@@ -19,6 +24,8 @@ from perhom import (
     save_field,
     solve_delta_problem,
 )
+from perhom import hjb_solver
+from perhom.elliptic_solver import _bellman_scheme
 from perhom.hjb_solver import corrector_lipschitz
 
 
@@ -269,3 +276,124 @@ def test_constant_medium_family(v0, p):
     grid = make_grid(1, 4.0, 32)
     est = ergodic_constant_periodic(per, (p,), grid, SolverParams(tol=1e-9))
     assert est.value == pytest.approx(p ** 2 - v0, abs=1e-8)
+
+
+# --- the Newton loop against a step that assembles the whole matrix --------
+
+def _assembled_newton(F, J, cols, u, delta, tol, max_steps):
+    """``_newton`` as a loop that builds each step's matrix anew:
+    COO to CSC, the border stacked onto J[:, 1:], and ``spsolve`` with its
+    own COLAMD ordering."""
+    shape, n = u.shape, u.size
+    rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
+    c = 0.0
+    if delta == 0.0:
+        u = u - u.flat[0]
+        c = float(np.mean(F(u)))
+        border = sp.csc_matrix(-np.ones((n, 1)))
+    history = []
+    while True:
+        m = float(u.mean())
+        r = delta * (u - m) + delta * m - c + F(u - m)
+        history.append(float(np.max(np.abs(r))))
+        if history[-1] <= tol or len(history) > max_steps or \
+                not np.isfinite(history[-1]):
+            return u, c, history
+        Ju = sp.csc_matrix((J(u, delta).ravel(), (rows, cols.ravel())),
+                           shape=(n, n))
+        if delta > 0.0:
+            u = u - spla.spsolve(Ju, r.ravel()).reshape(shape)
+        else:
+            w = spla.spsolve(sp.hstack([Ju[:, 1:], border], format="csc"),
+                             r.ravel())
+            u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
+            c -= float(w[-1])
+
+
+def _counting_spla(monkeypatch):
+    """Replace ``hjb_solver.spla`` by a stand-in that counts the
+    factorizations of ``splu`` and ``spsolve``."""
+    calls = {"splu": 0, "spsolve": 0}
+
+    def counted(name):
+        def fn(*args, **kwargs):
+            calls[name] += 1
+            return getattr(spla, name)(*args, **kwargs)
+        return fn
+
+    monkeypatch.setattr(hjb_solver, "spla", types.SimpleNamespace(
+        splu=counted("splu"), spsolve=counted("spsolve")))
+    return calls
+
+
+def _checkerboard_cell(d, n):
+    env = sample_env(EnvSpec(kind="checkerboard", dimension=d,
+                             value_range=(0.0, 3.0), mollify_radius=0.25), 0)
+    cst = StructuralConstants(c_struct=4.0, gamma=2.0, c_corr=2.0)
+    per = periodize_hjb(HamiltonianSpec(env=env, c1=1.0, gamma=2.0,
+                                        constants=cst), L=8.0, eta=0.1)
+    p = (1.0,) + (0.5,) * (d - 1)
+    grid = make_grid(d, 8.0, n)
+    prob = hjb_solver._discretize(per, grid)
+    theta = hjb_solver.default_theta(per, p, grid)
+    return prob, p, theta
+
+
+@pytest.mark.parametrize("d, n", [(1, 128), (2, 16)])
+@pytest.mark.parametrize("steep", [False, True])
+def test_newton_matches_assembled_steps_bit_for_bit(monkeypatch, d, n, steep):
+    # the pattern, the gather and the phase's one column ordering must hand
+    # SuperLU the very matrices of a step that assembles everything: the
+    # bordered system is ill-conditioned at steep iterates, so any other
+    # rounding takes another Newton path
+    prob, p, theta = _checkerboard_cell(d, n)
+    F, J, cols = hjb_solver._hjb_scheme(prob, p, theta)
+    u0 = np.zeros(prob.grid.shape)
+    if steep:
+        u0 = 30.0 * ergodic_constant_periodic(
+            prob, p, prob.grid,
+            SolverParams(tol=1e-8, lf_theta=theta)).corrector.values
+    calls = _counting_spla(monkeypatch)
+    want_u, got_u = u0, u0
+    for delta in (1.0, 0.0):
+        want_u, want_c, want = _assembled_newton(F, J, cols, want_u, delta,
+                                                 1e-8, 500)
+        before = dict(calls)
+        got_u, got_c, got = hjb_solver._newton(F, J, cols, got_u, delta,
+                                               1e-8, 500)
+        assert got == want
+        assert np.array_equal(got_u, want_u)
+        assert got_c == want_c
+        steps = len(got) - 1
+        assert steps >= 1
+        # one factorization per step, and COLAMD only in the first
+        assert calls["splu"] - before["splu"] == 1
+        assert calls["spsolve"] - before["spsolve"] == steps - 1
+
+
+def test_newton_bellman_cell_matches_assembled_steps(monkeypatch):
+    # a two-control 2D Bellman cell whose cross term puts the diagonal
+    # neighbours into the stencil, and whose active control changes in the
+    # first step; only the sums of F change order
+    env = sample_env(EnvSpec(kind="cosine", dimension=2,
+                             value_range=(1.0, 3.0)), 0)
+    spec = EllipticSpec(
+        env=env, family="bellman", dimension=2,
+        constants=StructuralConstants(lambda_bar=0.5, Lambda_bar=4.0),
+        controls=(
+            {"matrix": [[2.0, 0.5], [0.5, 1.0]],
+             "a": {"affine_of_V": [0.5, 0.0]}, "f": {"const": 0.0}},
+            {"matrix": [[1.0, 0.0], [0.0, 1.0]], "a": {"const": 2.0},
+             "f": {"cos": [0.5, -1.0]}},
+        ))
+    grid = make_grid(2, 1.0, 16)
+    F, J, cols = _bellman_scheme(spec, [[-0.75, 0.2], [0.2, 0.3]], grid, 1.0)
+    assert cols.shape == (9, 256)
+    u0 = np.zeros(grid.shape)
+    _, want_c, want = _assembled_newton(F, J, cols, u0, 0.0, 1e-10, 50)
+    calls = _counting_spla(monkeypatch)
+    _, got_c, got = hjb_solver._newton(F, J, cols, u0, 0.0, 1e-10, 50)
+    assert len(got) == len(want) >= 3
+    assert got[-1] <= 1e-10
+    assert abs(got_c - want_c) <= 1e-12
+    assert calls == {"splu": 1, "spsolve": len(got) - 2}
