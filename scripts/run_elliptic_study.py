@@ -10,9 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from perhom import StudyConfig, emit_csv, emit_json, fit_rate, run_convergence_study
+from perhom import StudyConfig, emit_csv, emit_json, rate_report, run_convergence_study
 
 
 def build_config(out_dir: Path) -> StudyConfig:
@@ -20,7 +18,6 @@ def build_config(out_dir: Path) -> StudyConfig:
         "env": {"kind": "constant", "dimension": 1, "value_range": [1.0, 1.0]},
         "model": {"type": "elliptic", "family": "linear",
                   "a": {"inv_cos": [0.5]}, "f": {"cos": [0.5, 0.2]},
-                  "dimension": 1,
                   "constants": {"c_struct": 3.0, "gamma": 2.0, "c_corr": 1.0,
                                 "lambda_bar": 0.5, "Lambda_bar": 2.5}},
         "p_list": [-1.0, 0.0, 2.0],
@@ -51,14 +48,9 @@ def main() -> int:
     emit_json(result, cfg.out_json)
     print(f"wrote {cfg.out_csv} ({len(result.rows)} rows)")
 
-    report = {}
-    for label in sorted({r.p for r in result.rows}):
-        pairs = [(r.L, r.abs_err) for r in result.rows
-                 if r.p == label and np.isfinite(r.abs_err)]
-        slope, intercept, r2 = fit_rate(pairs)
-        report[label] = {"slope": slope, "intercept": intercept,
-                         "r_squared": r2}
-        print(f"P={label}: slope={slope:+.4f} r2={r2:.4f}")
+    report = rate_report(result.rows)
+    for label, fit in report.items():
+        print(f"P={label}: slope={fit['slope']:+.4f} r2={fit['r_squared']:.4f}")
     (out_dir / "elliptic_inv_cos.rates.json").write_text(
         json.dumps(report, indent=2))
     return 0

@@ -11,9 +11,7 @@ import argparse
 import json
 from pathlib import Path
 
-import numpy as np
-
-from perhom import StudyConfig, emit_csv, emit_json, fit_rate, run_convergence_study
+from perhom import StudyConfig, emit_csv, emit_json, rate_report, run_convergence_study
 
 
 def build_config(out_dir: Path, seeds: int, eta: float) -> StudyConfig:
@@ -28,7 +26,7 @@ def build_config(out_dir: Path, seeds: int, eta: float) -> StudyConfig:
         "L_list": [8.0, 16.0, 32.0, 64.0],
         "seeds": list(range(seeds)),
         "eta_mode": {"mode": "fixed", "value": eta},
-        "solver": {"tol": 1e-8, "dissipation_extrapolation": True},
+        "solver": {"tol": 1e-8},
         "reference": {"method": "oracle", "box": 256.0, "quad_N": 2048},
         "nodes_per_unit": 16,
         "out_csv": str(out_dir / "hjb_checkerboard.csv"),
@@ -54,18 +52,9 @@ def main() -> int:
     emit_json(result, cfg.out_json)
     print(f"wrote {cfg.out_csv} ({len(result.rows)} rows)")
 
-    report = {}
-    for label in sorted({r.p for r in result.rows}):
-        per_L = {}
-        for r in result.rows:
-            if r.p == label and np.isfinite(r.abs_err):
-                per_L.setdefault(r.L, []).append(r.abs_err)
-        pairs = [(L, float(np.median(v))) for L, v in sorted(per_L.items())]
-        slope, intercept, r2 = fit_rate(pairs)
-        report[label] = {"slope": slope, "intercept": intercept,
-                         "r_squared": r2}
-        print(f"p={label}: slope={slope:+.4f} r2={r2:.4f} "
-              f"medians={['%.4f' % e for _, e in pairs]}")
+    report = rate_report(result.rows)
+    for label, fit in report.items():
+        print(f"p={label}: slope={fit['slope']:+.4f} r2={fit['r_squared']:.4f}")
     (out_dir / "hjb_checkerboard.rates.json").write_text(
         json.dumps(report, indent=2))
     return 0

@@ -73,6 +73,7 @@ from .harness import (
     emit_csv,
     emit_json,
     fit_rate,
+    rate_report,
     run_convergence_study,
 )
 from .validation import run_validation

@@ -23,8 +23,8 @@ from .harness import (
     compute_row,
     emit_csv,
     emit_json,
-    fit_rate,
     load_csv,
+    rate_report,
     reference_constants,
     run_convergence_study,
 )
@@ -154,18 +154,10 @@ def _cmd_rate_fit(args) -> int:
     rows = load_csv(args.config)
     if not rows:
         raise _UsageError("empty CSV")
-    report = {}
-    for label in sorted({r.p for r in rows}):
-        per_L: dict = {}
-        for r in rows:
-            if r.p == label and np.isfinite(r.abs_err):
-                per_L.setdefault(r.L, []).append(r.abs_err)
-        pairs = [(L, float(np.median(v))) for L, v in sorted(per_L.items())]
-        slope, intercept, r2 = fit_rate(pairs)
-        report[label] = {"slope": slope, "intercept": intercept,
-                         "r_squared": r2}
-        print(f"p={label}: slope={slope:.6f} intercept={intercept:.6f} "
-              f"r2={r2:.6f}")
+    report = rate_report(rows)
+    for label, fit in report.items():
+        print(f"p={label}: slope={fit['slope']:.6f} "
+              f"intercept={fit['intercept']:.6f} r2={fit['r_squared']:.6f}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(report, f, indent=2)

@@ -21,7 +21,7 @@ the cell indices, which gives exact (bit-level) shift covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 import math
 
 import numpy as np
@@ -116,8 +116,40 @@ def gauss_legendre_panels(period: float, n_panels: int):
     return xs, ws
 
 
+class JsonFields:
+    """The JSON form of a dataclass, read off its fields: ``to_json``
+    writes every field, and ``from_json`` converts each field ``obj``
+    names to its annotated type and leaves the others at their defaults.
+    A key that names no field is an error."""
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        import typing
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(obj) - set(names))
+        if unknown:
+            raise ValueError(f"{cls.__name__} has no fields {unknown}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{k: _from_json(hints[k], obj[k]) for k in names if k in obj})
+
+
+def _from_json(kind, value):
+    """``value`` as the annotation ``kind``; ``str | None`` keeps it."""
+    origin, args = getattr(kind, "__origin__", kind), getattr(kind, "__args__", ())
+    if origin in (list, tuple):
+        return origin(_from_json(args[0], v) for v in value) if args else origin(value)
+    if origin in (int, float, str, dict):
+        return origin(value)
+    if hasattr(origin, "from_json"):
+        return origin.from_json(value)
+    return value
+
+
 @dataclass(frozen=True)
-class EnvSpec:
+class EnvSpec(JsonFields):
     """Static description of a random-medium family.
 
     ``value_range`` bounds the potential, ``cell_size`` is the pitch of the
@@ -154,29 +186,6 @@ class EnvSpec:
             r = self.bump.get("radius", 0.0)
             if not 0 < r <= self.cell_size / 2:
                 raise ValueError("bump radius must lie in (0, cell_size/2]")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dimension": self.dimension,
-            "value_range": list(self.value_range),
-            "cell_size": self.cell_size,
-            "mollify_radius": self.mollify_radius,
-            "bump": dict(self.bump),
-            "sigma": dict(self.sigma),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EnvSpec":
-        return cls(
-            kind=obj["kind"],
-            dimension=int(obj["dimension"]),
-            value_range=tuple(obj["value_range"]),
-            cell_size=float(obj.get("cell_size", 1.0)),
-            mollify_radius=float(obj.get("mollify_radius", 0.0)),
-            bump=dict(obj.get("bump", {})),
-            sigma=dict(obj.get("sigma", {"slope": 0.0, "offset": 0.0, "lipschitz_cap": 0.0})),
-        )
 
 
 @dataclass(frozen=True)

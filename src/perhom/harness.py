@@ -1,13 +1,18 @@
 """Study orchestration: periodization sweeps, rate regression, sandwich
 checks and CSV/JSON persistence.
 
-A study config describes a medium, an operator family, lists of momenta /
-Hessian offsets, periods L and seeds, an eta mode and a reference method.
-Each (seed, L, p) triple yields one result row; the reference constants
-of a seed are computed in one call for all its momenta (the 1D oracle
-samples the seed's box once) and each is shared across the L rows, which
-exposes the finite-box seed dependence of the reference honestly.  The
-theta and 2 theta cell solves of an HJB row read one discretized cell.
+A study config describes a medium, an operator family of the medium's
+dimension, lists of momenta / Hessian offsets (flat or nested), periods L
+and seeds, an eta mode and a reference method; the fields of
+``StudyConfig`` are its JSON schema.  Each (seed, L, p) triple yields one
+result row, and each study quantity is computed one way.  An HJB row
+constant is extrapolated from cell solves at dissipation theta and
+2 theta, which read one discretized cell, and so is each discounted solve
+of the ``delta_extrapolation`` reference.  The reference constants of a
+seed are computed in one call for all its momenta (the 1D oracle samples
+the seed's box once), and each is shared across the L rows, which exposes
+the finite-box seed dependence of the reference honestly.
+``rate_report`` fits each momentum's rate to its median error at each L.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import typing
 
 import numpy as np
 
-from .environment import EnvSpec, eval_potential_points, sample_env
+from .environment import EnvSpec, JsonFields, eval_potential_points, sample_env
 from .model import (
     EllipticSpec,
     HamiltonianSpec,
@@ -59,6 +64,7 @@ __all__ = [
     "compute_row",
     "reference_constants",
     "fit_rate",
+    "rate_report",
     "check_sandwich",
     "emit_csv",
     "emit_json",
@@ -97,17 +103,19 @@ class StudyResult:
 
 
 @dataclass
-class StudyConfig:
-    """Validated study description; see ``from_json`` for the schema."""
+class StudyConfig(JsonFields):
+    """Validated study description; its fields are the JSON schema.
+    ``dissipation_extrapolation`` in ``solver`` or ``reference`` may only
+    be true, and ``model.dimension`` only the medium's."""
 
     env: EnvSpec
     model: dict
     p_list: list
     L_list: list[float]
     seeds: list[int]
-    eta_mode: dict
-    solver: dict
-    reference: dict
+    eta_mode: dict = field(default_factory=lambda: {"mode": "fixed", "value": 0.1})
+    solver: dict = field(default_factory=dict)
+    reference: dict = field(default_factory=lambda: {"method": "oracle"})
     nodes_per_unit: int = 16
     out_csv: str | None = None
     out_json: str | None = None
@@ -119,37 +127,21 @@ class StudyConfig:
             raise ValueError("L_list must be strictly increasing")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if not all(part.get("dissipation_extrapolation", True)
+                   for part in (self.solver, self.reference)):
+            raise ValueError("dissipation extrapolation is always on; "
+                             "dissipation_extrapolation may only be true")
+        if self.model.get("dimension", self.env.dimension) != self.env.dimension:
+            raise ValueError(f"model.dimension {self.model['dimension']} differs "
+                             f"from the medium's {self.env.dimension}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "StudyConfig":
-        return cls(
-            env=EnvSpec.from_json(obj["env"]),
-            model=dict(obj["model"]),
-            p_list=list(obj["p_list"]),
-            L_list=[float(v) for v in obj["L_list"]],
-            seeds=[int(s) for s in obj["seeds"]],
-            eta_mode=dict(obj.get("eta_mode", {"mode": "fixed", "value": 0.1})),
-            solver=dict(obj.get("solver", {})),
-            reference=dict(obj.get("reference", {"method": "oracle"})),
-            nodes_per_unit=int(obj.get("nodes_per_unit", 16)),
-            out_csv=obj.get("out_csv"),
-            out_json=obj.get("out_json"),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "env": self.env.to_json(),
-            "model": self.model,
-            "p_list": self.p_list,
-            "L_list": self.L_list,
-            "seeds": self.seeds,
-            "eta_mode": self.eta_mode,
-            "solver": self.solver,
-            "reference": self.reference,
-            "nodes_per_unit": self.nodes_per_unit,
-            "out_csv": self.out_csv,
-            "out_json": self.out_json,
-        }
+        """As ``JsonFields.from_json``, but top-level keys that name no
+        field are ignored: a command's own keys (the ``L`` of hbar-l)
+        share the config file."""
+        names = {f.name for f in fields(cls)}
+        return super().from_json({k: v for k, v in obj.items() if k in names})
 
 
 def _solver_params(cfg: StudyConfig) -> SolverParams:
@@ -174,11 +166,10 @@ def _elliptic_spec(cfg: StudyConfig, seed: int) -> EllipticSpec:
     m = cfg.model
     if m.get("family", "linear") == "linear":
         return linear_elliptic_spec(env, m["a"], m.get("f", {"const": 0.0}),
-                                    _constants(cfg), dimension=m.get("dimension", 1))
+                                    _constants(cfg), dimension=env.dimension)
     return EllipticSpec(env=env, family="bellman",
                         controls=tuple(m["controls"]),
-                        constants=_constants(cfg),
-                        dimension=m.get("dimension", 2))
+                        constants=_constants(cfg), dimension=env.dimension)
 
 
 def _eta_for(cfg: StudyConfig, L: float) -> float:
@@ -205,12 +196,15 @@ def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
     if method == "oracle":
         if cfg.env.dimension != 1:
             raise ValueError("oracle reference needs d = 1")
+        if any(cfg.env.sigma.get(k, 0.0) for k in ("slope", "offset")):
+            raise ValueError("oracle reference is first order; the medium "
+                             "has diffusion (sigma slope or offset != 0)")
         box = float(ref.get("box", 256.0))
 
         def V(xs):
             return eval_potential_points(spec.env, (xs % box)[:, None])
         return hbar_1d_first_order(V, spec.c1, spec.gamma,
-                                   [float(np.atleast_1d(p)[0]) for p in ps],
+                                   [float(np.ravel(p)[0]) for p in ps],
                                    quad_N=int(ref.get("quad_N", 4096)),
                                    period=box)
     if method == "delta_extrapolation":
@@ -219,8 +213,7 @@ def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
             float(ref.get("box", 16.0)), _solver_params(cfg),
             grid_n=ref.get("grid_n"),
             box_multiplier=float(ref.get("box_multiplier", 1.0)),
-            dissipation_extrapolation=bool(
-                ref.get("dissipation_extrapolation", False))).value
+            dissipation_extrapolation=True).value
             for p in ps]
     raise ValueError(f"unknown reference method {method!r}")
 
@@ -228,11 +221,11 @@ def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
 def _reference_elliptic(cfg: StudyConfig, seed: int, Ps) -> list[float]:
     """Reference constants of one seed's medium at each Hessian offset."""
     ref = cfg.reference
-    spec = _elliptic_spec(cfg, seed)
-    if cfg.env.dimension != 1 and spec.dimension != 1:
+    if cfg.env.dimension != 1:
         raise ValueError("elliptic reference implemented for d = 1 only")
+    spec = _elliptic_spec(cfg, seed)
     box = float(ref.get("box", 64.0))
-    return [ergodic_constant_1d_exact(spec, float(np.atleast_1d(P)[0]),
+    return [ergodic_constant_1d_exact(spec, float(np.ravel(P)[0]),
                                       quadrature_N=int(ref.get("quad_N", 512)),
                                       period=box)
             for P in Ps]
@@ -247,10 +240,16 @@ def reference_constants(cfg: StudyConfig, seed: int, ps) -> list[float]:
 
 
 def _p_label(p) -> str:
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
+    """The CSV label of a momentum or (flattened) Hessian offset."""
+    arr = np.ravel(np.asarray(p, dtype=float))
     if arr.size == 1:
         return repr(float(arr[0]))
     return json.dumps([float(v) for v in arr])
+
+
+def _p_norm(label: str) -> float:
+    """The Euclidean norm of the values a ``_p_label`` label names."""
+    return np.linalg.norm(np.atleast_1d(json.loads(label)))
 
 
 def compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> ResultRow:
@@ -268,14 +267,10 @@ def compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> R
                                 H0_constant=cfg.model.get("H0_constant"),
                                 H0_c1=cfg.model.get("H0_c1"))
             grid = make_grid(spec.dimension, L, n)
-            if cfg.solver.get("dissipation_extrapolation"):
-                cell = _discretize(per, grid)  # shared by both solves
-                value, ests = _theta_extrapolated(
-                    lambda pp: ergodic_constant_periodic(cell, p, grid, pp),
-                    params, default_theta(per, p, grid), lambda e: e.value)
-            else:
-                ests = [ergodic_constant_periodic(per, p, grid, params)]
-                value = ests[0].value
+            cell = _discretize(per, grid)  # shared by both solves
+            value, ests = _theta_extrapolated(
+                lambda pp: ergodic_constant_periodic(cell, p, grid, pp),
+                params, default_theta(per, p, grid), lambda e: e.value)
         else:
             spec = _elliptic_spec(cfg, seed)
             per = periodize_elliptic(spec, L, eta,
@@ -346,6 +341,23 @@ def fit_rate(pairs) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def rate_report(rows) -> dict:
+    """The rate fit of each momentum label, in sorted order: ``fit_rate``
+    of the median finite ``abs_err`` at each L, as {label: {"slope",
+    "intercept", "r_squared"}}."""
+    report = {}
+    for label in sorted({r.p for r in rows}):
+        per_L: dict = {}
+        for r in rows:
+            if r.p == label and np.isfinite(r.abs_err):
+                per_L.setdefault(r.L, []).append(r.abs_err)
+        slope, intercept, r2 = fit_rate(
+            [(L, float(np.median(v))) for L, v in sorted(per_L.items())])
+        report[label] = {"slope": slope, "intercept": intercept,
+                         "r_squared": r2}
+    return report
+
+
 def check_sandwich(result: StudyResult, constants: StructuralConstants,
                    tol_margin: float = 1e-6) -> dict:
     """Both branches of the approximation theorem in testable form.
@@ -355,20 +367,14 @@ def check_sandwich(result: StudyResult, constants: StructuralConstants,
     C_report (|p|^gamma + 1) eta + tol_margin, with C_report the smallest
     constant making every finite row pass.
     """
-    g = constants.gamma
     rows = [r for r in result.rows if np.isfinite(r.constant_L)]
-    c_report = 0.0
-    for r in rows:
-        pn = np.linalg.norm(json.loads(r.p) if r.p.startswith("[") else [float(r.p)])
-        denom = (pn ** g + 1.0) * r.eta_used
-        need = (r.constant_ref - r.constant_L - tol_margin) / denom
-        c_report = max(c_report, need)
+    scale = [_p_norm(r.p) ** constants.gamma + 1.0 for r in rows]
+    c_report = max([0.0] + [(r.constant_ref - r.constant_L - tol_margin)
+                            / (s * r.eta_used) for r, s in zip(rows, scale)])
     per_L: dict = {}
-    for r in rows:
-        pn = np.linalg.norm(json.loads(r.p) if r.p.startswith("[") else [float(r.p)])
+    for r, s in zip(rows, scale):
         upper_ok = r.constant_L <= r.constant_ref + tol_margin
-        lower_ok = r.constant_ref <= (r.constant_L
-                                      + c_report * (pn ** g + 1.0) * r.eta_used
+        lower_ok = r.constant_ref <= (r.constant_L + c_report * s * r.eta_used
                                       + tol_margin)
         d = per_L.setdefault(r.L, {"upper_pass": 0, "lower_pass": 0, "total": 0})
         d["total"] += 1

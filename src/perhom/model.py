@@ -16,6 +16,7 @@ import numpy as np
 
 from .environment import (
     EnvironmentSample,
+    JsonFields,
     eval_potential_points,
     sigma_of_potential,
 )
@@ -32,7 +33,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StructuralConstants:
+class StructuralConstants(JsonFields):
     """Declared structural constants of an operator family.
 
     ``c_struct`` is the coercivity/Lipschitz constant, ``gamma`` the
@@ -59,18 +60,6 @@ class StructuralConstants:
             raise ValueError("c_corr must be >= 1")
         if not 0 < self.lambda_bar < self.Lambda_bar:
             raise ValueError("need 0 < lambda_bar < Lambda_bar")
-
-    def to_json(self) -> dict:
-        return {
-            "c_struct": self.c_struct, "gamma": self.gamma,
-            "c_corr": self.c_corr, "lambda_bar": self.lambda_bar,
-            "Lambda_bar": self.Lambda_bar, "c_bar": self.c_bar,
-            "rho_slope": self.rho_slope,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StructuralConstants":
-        return cls(**obj)
 
 
 @dataclass(frozen=True)

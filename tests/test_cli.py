@@ -123,6 +123,34 @@ def test_hbar_l_prints_the_study_row(capsys, tmp_path):
     assert value == row.constant_L
 
 
+def test_hbar_l_honours_top_level_L(capsys, tmp_path):
+    # a top-level L picks the cell of hbar-l; it names no config field
+    cfg = _hjb_config(tmp_path, L_list=[4.0], L=2.0)
+    assert main(["hbar-l", "--config", cfg]) == 0
+    value = float(capsys.readouterr().out.strip())
+    with open(cfg) as f:
+        obj = json.load(f)
+    rows = run_convergence_study(StudyConfig.from_json(
+        dict(obj, L_list=[2.0, 4.0]))).rows
+    assert value == rows[0].constant_L != rows[1].constant_L
+
+
+def test_switches_that_select_nothing_exit_1(capsys, tmp_path):
+    for overrides in ({"solver": {"tol": 1e-8,
+                                  "dissipation_extrapolation": False}},
+                      {"env": {"kind": "cosine", "dimension": 1,
+                               "value_range": [1.0, 3.0],
+                               "sigma": {"slope": 0.1, "offset": 0.0,
+                                         "lipschitz_cap": 1.0}}}):
+        cfg = _hjb_config(tmp_path, **overrides)
+        assert main(["hbar", "--config", cfg]) == 1
+    cfg = _elliptic_config(tmp_path, model={
+        "type": "elliptic", "family": "linear", "a": {"inv_cos": [0.5]},
+        "dimension": 2, "constants": {"lambda_bar": 0.4, "Lambda_bar": 3.0}})
+    assert main(["fbar-l", "--config", cfg]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_fbar_and_fbar_l(capsys, tmp_path):
     cfg = _elliptic_config(tmp_path)
     assert main(["fbar", "--config", cfg]) == 0

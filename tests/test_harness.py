@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -45,6 +46,10 @@ def _row(seed=0, L=4.0, eta=0.1, p="1.0", cL=0.0, cref=0.0, err=0.0):
     return ResultRow(seed=seed, L=L, eta_used=eta, p=p, constant_L=cL,
                      constant_ref=cref, abs_err=err, residual=1e-9,
                      iterations=10, lipschitz_estimate=1.0, wall_time=0.01)
+
+
+def _science(row):
+    return [v for f, v in zip(ROW_FIELDS, row.as_list()) if f != "wall_time"]
 
 
 def test_fit_rate_exact_power_laws():
@@ -305,3 +310,136 @@ def test_checkerboard_cells_converge_inside_node_bracket(
         # the continuum cell constant is that of H itself
         bound = ((prob.V + H.max()) / prob.c1) ** (1.0 / prob.gamma)
         assert np.all(_gradient_cap(prob, params.lf_theta) >= bound)
+
+
+@pytest.mark.parametrize("part", ["solver", "reference"])
+def test_dissipation_extrapolation_may_only_be_true(part):
+    from perhom.harness import compute_row
+    base = _tiny_config()
+    with pytest.raises(ValueError):
+        _tiny_config(**{part: dict(getattr(base, part),
+                                   dissipation_extrapolation=False)})
+    # true is accepted and selects nothing: the one row path
+    on = _tiny_config(**{part: dict(getattr(base, part),
+                                    dissipation_extrapolation=True)})
+    a, b = compute_row(base, 1, 4.0, 1.0, 0.0), compute_row(on, 1, 4.0, 1.0, 0.0)
+    assert (a.constant_L, a.iterations) == (b.constant_L, b.iterations)
+
+
+def test_model_dimension_is_the_medium_dimension():
+    model = {"type": "elliptic", "family": "linear", "a": {"inv_cos": [0.5]},
+             "f": {"cos": [0.0, 0.5]}, "constants": {}}
+    with pytest.raises(ValueError):
+        _tiny_config(model=dict(model, dimension=2))  # a 1D medium
+    from perhom.harness import _elliptic_spec
+    for m in (model, dict(model, dimension=1)):
+        assert _elliptic_spec(_tiny_config(model=m), 1).dimension == 1
+
+
+def _bellman_2d_config(**overrides):
+    ctl = [{"matrix": [[1.0, 0.2], [0.2, 1.0]], "a": {"cos": [1.0, 0.3]},
+            "f": {"cos": [0.0, 0.5]}},
+           {"matrix": [[1.0, 0.0], [0.0, 1.0]], "a": {"affine_of_V": [0.2, 1.0]},
+            "f": {"const": 0.1}}]
+    return _tiny_config(
+        env={"kind": "cosine", "dimension": 2, "value_range": [1.0, 3.0]},
+        model={"type": "elliptic", "family": "bellman", "controls": ctl,
+               "constants": {"c_struct": 3.0, "gamma": 2.0, "c_corr": 1.0,
+                             "lambda_bar": 0.5, "Lambda_bar": 2.5}},
+        p_list=[[[0.3, 0.0], [0.0, 0.3]]], L_list=[2.0], seeds=[0],
+        eta_mode={"mode": "fixed", "value": 0.25}, **overrides)
+
+
+def test_bellman_row_same_for_nested_and_flat_P():
+    from perhom.harness import _p_label, compute_row
+    cfg = _bellman_2d_config()
+    nested = compute_row(cfg, 0, 2.0, [[0.3, 0.0], [0.0, 0.3]], 0.0)
+    flat = compute_row(cfg, 0, 2.0, [0.3, 0.0, 0.0, 0.3], 0.0)
+    assert math.isfinite(nested.constant_L)
+    assert nested.p == flat.p == "[0.3, 0.0, 0.0, 0.3]"
+    assert _science(nested) == _science(flat)
+    assert _p_label([[0.5]]) == _p_label([0.5]) == _p_label(0.5) == "0.5"
+
+
+def test_elliptic_reference_needs_d1():
+    from perhom.harness import reference_constants
+    with pytest.raises(ValueError):
+        reference_constants(_bellman_2d_config(), 0,
+                            [[[0.3, 0.0], [0.0, 0.3]]])
+
+
+def test_elliptic_reference_reads_nested_P():
+    from perhom.harness import reference_constants
+    cfg = _tiny_config(
+        env={"kind": "constant", "dimension": 1, "value_range": [1.0, 1.0]},
+        model={"type": "elliptic", "family": "linear", "a": {"inv_cos": [0.5]},
+               "constants": {"lambda_bar": 0.4, "Lambda_bar": 3.0}},
+        reference={"box": 1.0, "quad_N": 512})
+    # harmonic mean of a is 1 and f = 0: the constant is -P
+    flat, nested = reference_constants(cfg, 0, [[0.5], [[0.5]]])
+    assert flat == nested == pytest.approx(-0.5, abs=1e-8)
+
+
+def test_oracle_reference_rejects_diffusion():
+    from perhom.harness import reference_constants
+    env = {"kind": "cosine", "dimension": 1, "value_range": [1.0, 3.0],
+           "sigma": {"slope": 0.0, "offset": 0.2, "lipschitz_cap": 0.0}}
+    with pytest.raises(ValueError):
+        reference_constants(_tiny_config(env=env), 0, [1.0])
+
+
+def test_delta_extrapolation_reference_matches_oracle(cosine_V):
+    from perhom import hbar_1d_first_order
+    from perhom.harness import reference_constants
+    cfg = _tiny_config(
+        env={"kind": "cosine", "dimension": 1, "value_range": [1.0, 3.0]},
+        reference={"method": "delta_extrapolation", "box": 1.0,
+                   "grid_n": 512, "deltas": [0.02, 0.01, 0.005]})
+    ps = [0.0, 2.5]
+    for p, value in zip(ps, reference_constants(cfg, 0, ps)):
+        assert value == pytest.approx(
+            hbar_1d_first_order(cosine_V, 1.0, 2.0, p), abs=5e-4)
+
+
+def test_rate_report_fits_median_error_per_momentum():
+    from perhom.harness import rate_report
+    rows = []
+    for seed, scale in enumerate((1.0, 2.0, 4.0)):
+        for L in (4.0, 8.0, 16.0):
+            rows.append(_row(seed=seed, L=L, p="1.0", err=scale / L))
+            rows.append(_row(seed=seed, L=L, p="[0.0, 2.0]", err=scale * L))
+    rows.append(_row(seed=3, L=4.0, p="1.0", err=float("nan")))
+    rep = rate_report(rows)
+    assert list(rep) == ["1.0", "[0.0, 2.0]"]  # sorted labels
+    # the median over seeds is the scale-2 row
+    slope, intercept, r2 = fit_rate([(L, 2.0 / L) for L in (4.0, 8.0, 16.0)])
+    assert rep["1.0"] == {"slope": slope, "intercept": intercept,
+                          "r_squared": r2}
+    assert rep["[0.0, 2.0]"]["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_config_schema_is_the_field_list():
+    obj = {"env": {"kind": "checkerboard", "dimension": 1,
+                   "value_range": [0, 3], "mollify_radius": 0.25},
+           "model": {"type": "hjb", "c1": 1.0, "gamma": 2.0,
+                     "constants": {"c_struct": 4, "c_corr": 2.0}},
+           "p_list": [0.0], "L_list": [8, 16], "seeds": [0],
+           "L": 8.0}  # a key that names no field is ignored
+    cfg = StudyConfig.from_json(obj)
+    assert cfg.env == EnvSpec(kind="checkerboard", dimension=1,
+                              value_range=(0.0, 3.0), mollify_radius=0.25)
+    assert cfg.L_list == [8.0, 16.0] and isinstance(cfg.L_list[0], float)
+    assert cfg.eta_mode == {"mode": "fixed", "value": 0.1}
+    assert cfg.reference == {"method": "oracle"} and cfg.solver == {}
+    cst = StructuralConstants.from_json(cfg.model["constants"])
+    assert cst == StructuralConstants(c_struct=4.0, c_corr=2.0)
+    assert StructuralConstants.from_json(cst.to_json()) == cst
+    back = json.loads(json.dumps(cfg.to_json()))
+    assert back["env"]["value_range"] == [0.0, 3.0]
+    assert set(back) == {f.name for f in dataclasses.fields(StudyConfig)}
+    assert StudyConfig.from_json(back) == cfg
+    # below the top level, a key that names no field is a typo
+    with pytest.raises(ValueError):
+        EnvSpec.from_json(dict(obj["env"], mollify_raduis=0.2))
+    with pytest.raises(ValueError):
+        StructuralConstants.from_json({"c_stuct": 4.0})
