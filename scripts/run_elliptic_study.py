@@ -50,7 +50,10 @@ def main() -> int:
 
     report = rate_report(result.rows)
     for label, fit in report.items():
-        print(f"P={label}: slope={fit['slope']:+.4f} r2={fit['r_squared']:.4f}")
+        if "error" in fit:
+            print(f"P={label}: no fit: {fit['error']}")
+        else:
+            print(f"P={label}: slope={fit['slope']:+.4f} r2={fit['r_squared']:.4f}")
     (out_dir / "elliptic_inv_cos.rates.json").write_text(
         json.dumps(report, indent=2))
     return 0

@@ -54,7 +54,10 @@ def main() -> int:
 
     report = rate_report(result.rows)
     for label, fit in report.items():
-        print(f"p={label}: slope={fit['slope']:+.4f} r2={fit['r_squared']:.4f}")
+        if "error" in fit:
+            print(f"p={label}: no fit: {fit['error']}")
+        else:
+            print(f"p={label}: slope={fit['slope']:+.4f} r2={fit['r_squared']:.4f}")
     (out_dir / "hjb_checkerboard.rates.json").write_text(
         json.dumps(report, indent=2))
     return 0

@@ -156,12 +156,15 @@ def _cmd_rate_fit(args) -> int:
         raise _UsageError("empty CSV")
     report = rate_report(rows)
     for label, fit in report.items():
-        print(f"p={label}: slope={fit['slope']:.6f} "
-              f"intercept={fit['intercept']:.6f} r2={fit['r_squared']:.6f}")
+        if "error" in fit:
+            print(f"p={label}: no fit: {fit['error']}", file=sys.stderr)
+        else:
+            print(f"p={label}: slope={fit['slope']:.6f} intercept="
+                  f"{fit['intercept']:.6f} r2={fit['r_squared']:.6f}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(report, f, indent=2)
-    return EXIT_OK
+    return EXIT_USAGE if any("error" in f for f in report.values()) else EXIT_OK
 
 
 def _cmd_validate(args) -> int:

@@ -106,7 +106,8 @@ class StudyResult:
 class StudyConfig(JsonFields):
     """Validated study description; its fields are the JSON schema.
     ``dissipation_extrapolation`` in ``solver`` or ``reference`` may only
-    be true, and ``model.dimension`` only the medium's."""
+    be true, ``model.dimension`` only the medium's d, and each entry of
+    ``p_list`` has d values (HJB momentum) or d^2 (elliptic offset)."""
 
     env: EnvSpec
     model: dict
@@ -134,6 +135,9 @@ class StudyConfig(JsonFields):
         if self.model.get("dimension", self.env.dimension) != self.env.dimension:
             raise ValueError(f"model.dimension {self.model['dimension']} differs "
                              f"from the medium's {self.env.dimension}")
+        size = self.env.dimension ** (1 if self.model.get("type", "hjb") == "hjb" else 2)
+        if any(np.size(p) != size for p in self.p_list):
+            raise ValueError(f"each p_list entry must have {size} values")
 
     @classmethod
     def from_json(cls, obj: dict) -> "StudyConfig":
@@ -269,7 +273,8 @@ def compute_row(cfg: StudyConfig, seed: int, L: float, p, ref_value: float) -> R
             grid = make_grid(spec.dimension, L, n)
             cell = _discretize(per, grid)  # shared by both solves
             value, ests = _theta_extrapolated(
-                lambda pp: ergodic_constant_periodic(cell, p, grid, pp),
+                lambda pp, start: ergodic_constant_periodic(  # continuation
+                    cell, p, grid, pp, init=start and start.corrector.values),
                 params, default_theta(per, p, grid), lambda e: e.value)
         else:
             spec = _elliptic_spec(cfg, seed)
@@ -344,17 +349,18 @@ def fit_rate(pairs) -> tuple[float, float, float]:
 def rate_report(rows) -> dict:
     """The rate fit of each momentum label, in sorted order: ``fit_rate``
     of the median finite ``abs_err`` at each L, as {label: {"slope",
-    "intercept", "r_squared"}}."""
+    "intercept", "r_squared"}}, or {label: {"error": why fit_rate failed}}."""
     report = {}
     for label in sorted({r.p for r in rows}):
         per_L: dict = {}
         for r in rows:
             if r.p == label and np.isfinite(r.abs_err):
                 per_L.setdefault(r.L, []).append(r.abs_err)
-        slope, intercept, r2 = fit_rate(
-            [(L, float(np.median(v))) for L, v in sorted(per_L.items())])
-        report[label] = {"slope": slope, "intercept": intercept,
-                         "r_squared": r2}
+        try:
+            report[label] = dict(zip(("slope", "intercept", "r_squared"), fit_rate(
+                [(L, float(np.median(v))) for L, v in sorted(per_L.items())])))
+        except ValueError as exc:
+            report[label] = {"error": str(exc)}
     return report
 
 

@@ -287,12 +287,12 @@ def _hjb_scheme(prob: _GridProblem, p, theta):
 
 
 def _pattern(rows: np.ndarray, cols: np.ndarray, src: np.ndarray, n: int):
-    """The n x n CSC pattern with entry e at (rows[e], cols[e]) as (take,
-    indices, indptr), where data = values[take] puts values[src[e]] at e:
-    tagged e + 1 in COO form, the entries leave the conversion in order."""
-    tags = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
-                         shape=(n, n))
-    return src[tags.data.astype(np.intp) - 1], tags.indices, tags.indptr
+    """The n x n CSC matrix with entry e at (rows[e], cols[e]) and the
+    gather ``take``: A.data[:] = values[take] puts values[src[e]] at e.
+    Tagged e + 1 in COO form, the entries leave the conversion in order."""
+    A = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                      shape=(n, n))
+    return src[A.data.astype(np.intp) - 1], A
 
 
 def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
@@ -310,10 +310,10 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
     so the steps follow the solver's rounding, and eliminating node 0 by a
     Schur complement instead overflowed.
 
-    One call is one phase: one sparsity pattern, filled by one gather per
-    step, and one COLAMD column ordering, which SuperLU computes in the
-    first step and gets pre-applied in the later ones.  Returns (u, c,
-    sup-norm residual history); the steps taken are len(history) - 1.
+    One call is one phase: one COLAMD column ordering, which SuperLU
+    computes in the first step and gets pre-applied in the later ones, and
+    one CSC matrix in that order, whose data one gather per step refills.
+    Returns (u, c, residual history); the steps are len(history) - 1.
     """
     shape, n, c = u.shape, u.size, 0.0
     rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
@@ -326,7 +326,7 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
         rows = np.concatenate((rows[keep], np.arange(n)))
         src = np.concatenate((src[keep], np.full(n, cols.size)))
         cols = np.concatenate((cols[keep] - 1, np.full(n, n - 1)))
-    take, indices, indptr = _pattern(rows, cols, src, n)
+    take, A = _pattern(rows, cols, src, n)
     perm, history = None, []
     while True:
         # v^delta carries a constant of size |H-bar|/delta; centering before
@@ -339,9 +339,8 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
                 not np.isfinite(history[-1]):
             return u, c, history
         if take is None:  # column j moves to perm[j], once per phase
-            take, indices, indptr = _pattern(rows, perm[cols], src, n)
-        A = sp.csc_matrix((np.append(J(u, delta), -1.0)[take], indices, indptr),
-                          shape=(n, n))
+            take, A = _pattern(rows, perm[cols], src, n)
+        A.data[:] = np.append(J(u, delta), -1.0)[take]
         if perm is None:
             try:
                 lu = spla.splu(A)  # COLAMD, as spsolve orders by default
@@ -418,9 +417,11 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
 
     The corrector is normalized to zero at node 0 (spatial origin).  The
     Newton loop runs twice on the same monotone scheme: a discounted solve
-    with delta = 1 from ``init`` (zero by default), which Howard's
-    algorithm solves from any start, then the bordered ergodic system from
-    where it stopped.  ``max_iter`` bounds each; ``iterations`` sums both.
+    with delta = 1 from zero, which Howard's algorithm solves from any
+    start, then the bordered ergodic system from where it stopped, or from
+    ``init`` (a nearby cell's corrector, such as 2 theta's) with no first
+    phase.  ``max_iter`` bounds each; ``iterations`` sums the two
+    ``info`` counts ``warmup_steps`` and ``bordered_steps``.
 
     ``info["nodes_above_cap"]`` counts the nodes whose converged centred
     gradient passes the cap R(x) of ``_gradient_cap``; with none, c is the
@@ -435,35 +436,40 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
     gprob = _discretize(prob, grid)
     theta = params.lf_theta or default_theta(prob, p, grid)
     scheme = _hjb_scheme(gprob, p, theta)
-    u = np.zeros(grid.shape) if init is None else np.reshape(init, grid.shape)
-    u, _, warmup = _newton(*scheme, u, 1.0, params.tol, params.max_iter)
-    u, c, history = _newton(*scheme, u, 0.0, params.tol, params.max_iter)
+    warmup = []  # with an init, no discounted phase
+    if init is None:
+        init, _, warmup = _newton(*scheme, np.zeros(grid.shape), 1.0,
+                                  params.tol, params.max_iter)
+    u, c, history = _newton(*scheme, np.reshape(init, grid.shape), 0.0,
+                            params.tol, params.max_iter)
     res = history[-1]
     if not res <= params.tol:
         raise NonConvergenceError(
             f"ergodic solve stalled at residual {res:.3e}", warmup + history)
     fld = GridField(grid=grid, values=u, info={"residual": res})
     above = _stencil(gprob, u, p, theta)[1] > _gradient_cap(gprob, theta)
+    steps = {"warmup_steps": len(warmup[1:]), "bordered_steps": len(history) - 1}
     return ErgodicEstimate(
-        value=c, residual=res, iterations=len(warmup) + len(history) - 2,
+        value=c, residual=res, iterations=sum(steps.values()),
         corrector=fld, lipschitz_estimate=corrector_lipschitz(fld),
         converged=True,
         info={"theta": tuple(theta),
-              "nodes_above_cap": int(np.count_nonzero(above))})
+              "nodes_above_cap": int(np.count_nonzero(above)), **steps})
 
 
 def _theta_extrapolated(solve, params: SolverParams, theta, value):
-    """Dissipation extrapolation: run ``solve(params)`` with dissipation
-    theta and 2 theta, and extrapolate ``value`` of the two results
-    linearly to theta = 0.
+    """Dissipation extrapolation: run ``solve(params, start)`` with
+    dissipation 2 theta (start None), then theta (start the 2 theta result,
+    the easier problem, to continue from or ignore), and extrapolate
+    ``value`` of the two results linearly to theta = 0.
 
     The leading scheme error is the Lax-Friedrichs dissipation, linear in
     theta, so this removes the O(theta h) bias that otherwise dominates on
     flat spots of the effective Hamiltonian.  Returns (extrapolated value,
     [result at theta, result at 2 theta]).
     """
-    results = [solve(replace(params, lf_theta=tuple(m * t for t in theta)))
-               for m in (1.0, 2.0)]
+    doubled = solve(replace(params, lf_theta=tuple(2.0 * t for t in theta)), None)
+    results = [solve(replace(params, lf_theta=tuple(theta)), doubled), doubled]
     return 2.0 * value(results[0]) - value(results[1]), results
 
 
@@ -502,7 +508,7 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     for dl in deltas:
         pd = replace(params, delta=dl, lf_theta=theta0)
         if dissipation_extrapolation:
-            v, flds = _theta_extrapolated(solve, pd, theta0, read)
+            v, flds = _theta_extrapolated(lambda pp, _: solve(pp), pd, theta0, read)
         else:
             flds = [solve(pd)]
             v = read(flds[0])

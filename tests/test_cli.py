@@ -219,6 +219,27 @@ def test_rate_fit_rejects_empty_csv(capsys, tmp_path):
     assert main(["rate-fit", "--config", str(path)]) == 1
 
 
+def test_rate_fit_writes_every_fit_and_exits_1_on_a_failed_one(capsys,
+                                                                 tmp_path):
+    # p = 2 has a finite error at one L only; the other fits still come out
+    path = tmp_path / "rows.csv"
+    lines = ["seed,L,eta_used,p,constant_L,constant_ref,abs_err,"
+             "residual,iterations,lipschitz_estimate,wall_time"]
+    for L in (8.0, 16.0, 32.0):
+        for p in (0.0, 1.0, 2.0):
+            err = "nan" if p == 2.0 and L > 8.0 else repr(1.0 / L)
+            lines.append(f"0,{L},0.1,{p},0.0,0.0,{err},1e-9,10,1.0,0.01")
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fit.json"
+    assert main(["rate-fit", "--config", str(path), "--out", str(out)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out.count("slope=") == 2
+    assert "p=2.0: no fit: need at least 3" in cap.err
+    rep = json.loads(out.read_text())
+    assert rep["0.0"]["slope"] == rep["1.0"]["slope"] == pytest.approx(-1.0)
+    assert set(rep["2.0"]) == {"error"}
+
+
 def test_validate_passes(capsys, tmp_path):
     out = tmp_path / "val.json"
     assert main(["validate", "--out", str(out)]) == 0

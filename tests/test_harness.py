@@ -284,8 +284,8 @@ def test_checkerboard_cells_converge_inside_node_bracket(
     cells = []
     solve = harness.ergodic_constant_periodic
 
-    def spy(spec, p, grid, params):
-        est = solve(spec, p, grid, params)
+    def spy(spec, p, grid, params, **kw):
+        est = solve(spec, p, grid, params, **kw)
         cells.append((spec, p, grid, params, est))
         return est
 
@@ -312,6 +312,32 @@ def test_checkerboard_cells_converge_inside_node_bracket(
         assert np.all(_gradient_cap(prob, params.lf_theta) >= bound)
 
 
+def test_theta_solve_continues_from_the_2theta_corrector(monkeypatch):
+    # the criterion-4 cell of seed 4, L = 64, p = 2: solved from zero, its
+    # theta solve's bordered phase wanders for 220 steps (246 in the row)
+    from perhom import harness
+    solve = harness.ergodic_constant_periodic
+    calls, ests = [], []
+
+    def spy(*args, **kw):
+        calls.append(args)
+        ests.append(solve(*args, **kw))
+        return ests[-1]
+
+    monkeypatch.setattr(harness, "ergodic_constant_periodic", spy)
+    row = harness.compute_row(_checkerboard_study([4], [64.0], [2.0]), 4,
+                              64.0, 2.0, 0.0)
+    doubled, single = ests  # 2 theta first, then theta from its corrector
+    assert doubled.info["warmup_steps"] >= 1
+    assert single.info["warmup_steps"] == 0
+    assert row.iterations == sum(e.info["warmup_steps"] + e.info["bordered_steps"]
+                                 for e in ests) <= 100
+    assert single.info["theta"] == tuple(t / 2 for t in doubled.info["theta"])
+    cold = [solve(*args) for args in calls]
+    assert sum(e.iterations for e in cold) > 200
+    assert abs(row.constant_L - (2 * cold[1].value - cold[0].value)) <= 1e-8
+
+
 @pytest.mark.parametrize("part", ["solver", "reference"])
 def test_dissipation_extrapolation_may_only_be_true(part):
     from perhom.harness import compute_row
@@ -334,6 +360,23 @@ def test_model_dimension_is_the_medium_dimension():
     from perhom.harness import _elliptic_spec
     for m in (model, dict(model, dimension=1)):
         assert _elliptic_spec(_tiny_config(model=m), 1).dimension == 1
+
+
+def test_p_entries_have_the_model_dimension():
+    # a 2 x 2 offset on a 1D medium used to abort the whole study with
+    # numpy's reshape error in the cell solver; the config rejects it
+    model = {"type": "elliptic", "family": "linear", "a": {"inv_cos": [0.5]},
+             "f": {"cos": [0.0, 0.5]}, "constants": {}}
+    with pytest.raises(ValueError, match="p_list"):
+        _tiny_config(model=model, p_list=[[0.3, 0.0, 0.0, 0.3]])
+    assert _tiny_config(model=model, p_list=[0.3, [[0.3]]]).p_list == [0.3, [[0.3]]]
+    # an HJB momentum has d values
+    with pytest.raises(ValueError, match="p_list"):
+        _tiny_config(p_list=[1.0, [1.0, 0.0]])
+    plane = {"kind": "cosine", "dimension": 2, "value_range": [1.0, 3.0]}
+    assert _tiny_config(env=plane, p_list=[[1.0, 0.0]]).p_list == [[1.0, 0.0]]
+    with pytest.raises(ValueError, match="p_list"):
+        _tiny_config(env=plane, p_list=[1.0])
 
 
 def _bellman_2d_config(**overrides):
@@ -416,6 +459,22 @@ def test_rate_report_fits_median_error_per_momentum():
     assert rep["1.0"] == {"slope": slope, "intercept": intercept,
                           "r_squared": r2}
     assert rep["[0.0, 2.0]"]["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rate_report_keeps_the_fits_it_can_make():
+    # one momentum with a finite error at a single L no longer discards the
+    # fits of the others
+    from perhom.harness import rate_report
+    rows = [_row(seed=0, L=L, p=p, err=1.0 / L)
+            for L in (4.0, 8.0, 16.0) for p in ("0.0", "1.0", "2.0")]
+    for r in rows:
+        if r.p == "2.0" and r.L > 4.0:
+            r.abs_err = float("nan")
+    rep = rate_report(rows)
+    assert list(rep) == ["0.0", "1.0", "2.0"]
+    for label in ("0.0", "1.0"):
+        assert rep[label]["slope"] == pytest.approx(-1.0, abs=1e-12)
+    assert rep["2.0"] == {"error": "need at least 3 positive (L, err) pairs"}
 
 
 def test_config_schema_is_the_field_list():
