@@ -330,8 +330,9 @@ def fit_rate(pairs) -> tuple[float, float, float]:
     Pairs with err <= 0 are dropped with a warning; fewer than 3 survivors
     is an error.
     """
+    pairs = list(pairs)
     clean = [(L, e) for L, e in pairs if e > 0 and np.isfinite(e)]
-    if len(clean) < len(list(pairs)):
+    if len(clean) < len(pairs):
         import warnings
         warnings.warn("fit_rate: dropped nonpositive error entries")
     if len(clean) < 3:

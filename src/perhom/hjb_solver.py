@@ -8,8 +8,9 @@ dissipation theta dominates the slope and the scheme is monotone at every
 iterate.  Discounted and ergodic cell problems are both solved by one
 Newton (Howard) loop, ``_newton``, which the elliptic solvers share: a
 delta diagonal closes the discounted system, and a border carrying the
-unknown constant closes the ergodic one.  The returned residual is the
-sup-norm defect of the discrete equation.
+unknown constant closes the ergodic one.  Its linear steps run on a
+LAPACK band solver on 1D tori and on SuperLU otherwise.  The returned
+residual is the sup-norm defect of the discrete equation.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .environment import lattice_points
 from .model import HamiltonianSpec
@@ -295,6 +297,82 @@ def _pattern(rows: np.ndarray, cols: np.ndarray, src: np.ndarray, n: int):
     return src[A.data.astype(np.intp) - 1], A
 
 
+def _superlu(cols: np.ndarray, bordered: bool):
+    """A phase's solver on any stencil: the CSC matrix J, or [J[:, 1:], -1]
+    with the constant last.  The first step factors with SuperLU's COLAMD
+    ordering; the later ones refill one CSC matrix, its columns already in
+    that order, and factor it with the natural ordering."""
+    n = cols.shape[1]
+    rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
+    cols = cols.ravel()
+    src = np.arange(cols.size)  # entry e takes the e-th value of J
+    if bordered:
+        keep = cols != 0  # the -1 is appended to J's values
+        rows = np.concatenate((rows[keep], np.arange(n)))
+        src = np.concatenate((src[keep], np.full(n, cols.size)))
+        cols = np.concatenate((cols[keep] - 1, np.full(n, n - 1)))
+    take, A = _pattern(rows, cols, src, n)
+    perm = None
+
+    def solve(vals, b):
+        nonlocal take, A, perm
+        if take is None:  # column j moves to perm[j], once per phase
+            take, A = _pattern(rows, perm[cols], src, n)
+        A.data[:] = vals[take]
+        if perm is not None:
+            return spla.spsolve(A, b, permc_spec="NATURAL")[perm]
+        try:
+            lu = spla.splu(A)  # COLAMD, as spsolve orders by default
+        except RuntimeError:  # exactly singular: a NaN step ends the phase
+            return np.full(n, np.nan)
+        perm, take = lu.perm_c.copy(), None
+        return lu.solve(b)
+
+    return solve
+
+
+def _banded(cols: np.ndarray, bordered: bool):
+    """A phase's solver on a 1D torus, in LAPACK band storage.
+
+    In the zigzag order z = (0, 1, n-1, 2, n-2, ...) the cyclic tridiagonal
+    J has bandwidths 2.  Each row after the first, minus the row before it
+    (the right-hand side alike), cancels the border's -1 in all but row 0;
+    the constant takes the column of the pinned node 0, and the system is
+    banded with kl = 3, ku = 2.  ``dgbsv`` solves it with partial pivoting;
+    a singular factor gives a NaN step.  Without the border (delta > 0)
+    node 0 keeps its column."""
+    n = cols.shape[1]
+    node = np.arange(n)
+    pos = np.where(node <= n // 2, 2 * node - 1, 2 * (n - node))
+    pos[0] = 0  # node j sits at zigzag position pos[j]
+    i = np.broadcast_to(pos, cols.shape).ravel()
+    j = pos[cols.ravel()]
+    src = np.arange(cols.size)
+    if bordered:
+        keep = j != 0
+        i, j, src = i[keep], j[keep], src[keep]
+    nxt = i < n - 1  # each entry enters the next row too, negated
+    i, j = np.concatenate((i, i[nxt] + 1)), np.concatenate((j, j[nxt]))
+    sign = np.concatenate((np.ones(src.size), -np.ones(nxt.sum())))
+    src = np.concatenate((src, src[nxt]))
+    if bordered:
+        i, j = np.append(i, 0), np.append(j, 0)
+        src, sign = np.append(src, cols.size), np.append(sign, 1.0)
+    band = 5 + i - j + 9 * j  # A[i, j] at ab[kl + ku + i - j, j], column-major
+    out = np.roll(pos, -1) if bordered else pos  # the unknowns' positions
+    z = np.argsort(pos)
+
+    def solve(vals, b):
+        ab = np.bincount(band, vals[src] * sign, minlength=9 * n)
+        rhs = b[z]
+        rhs[1:] -= b[z[:-1]]
+        _, _, x, info = lapack.dgbsv(3, 2, ab.reshape((9, n), order="F"),
+                                     rhs, overwrite_ab=True, overwrite_b=True)
+        return x[out] if info == 0 else np.full(n, np.nan)
+
+    return solve
+
+
 def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
             max_steps: int):
     """Full Newton (Howard) steps on a monotone, convex scheme, until the
@@ -306,28 +384,23 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
     delta > 0: delta u + F(u) = 0, an M-matrix system that Howard's
     algorithm solves from any start.  delta = 0: F(u) = c with u = 0 at
     node 0, so the matrix is [J[:, 1:], -1] and c is the last unknown.
-    Keep that form: at steep iterates its condition number passes 1e16,
-    so the steps follow the solver's rounding, and eliminating node 0 by a
-    Schur complement instead overflowed.
+    At steep iterates its condition number passes 1e16, so the steps
+    follow the solver's rounding; eliminating node 0 by a Schur complement
+    instead overflowed.
 
-    One call is one phase: one COLAMD column ordering, which SuperLU
-    computes in the first step and gets pre-applied in the later ones, and
+    One call is one phase, with one linear solver chosen from the stencil.
+    A 1D torus (three columns per row) goes to ``_banded``, a differenced
+    band form that LAPACK solves with pivoting over the whole band.  Every
+    other stencil goes to ``_superlu``: one COLAMD ordering per phase and
     one CSC matrix in that order, whose data one gather per step refills.
     Returns (u, c, residual history); the steps are len(history) - 1.
     """
-    shape, n, c = u.shape, u.size, 0.0
-    rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
-    cols = cols.ravel()
-    src = np.arange(cols.size)  # entry e takes the e-th value of J
+    shape, c = u.shape, 0.0
     if delta == 0.0:
         u = u - u.flat[0]
         c = float(np.mean(F(u)))
-        keep = cols != 0  # [J[:, 1:], -1]; the -1 is appended to J's values
-        rows = np.concatenate((rows[keep], np.arange(n)))
-        src = np.concatenate((src[keep], np.full(n, cols.size)))
-        cols = np.concatenate((cols[keep] - 1, np.full(n, n - 1)))
-    take, A = _pattern(rows, cols, src, n)
-    perm, history = None, []
+    solve = (_banded if len(cols) == 3 else _superlu)(cols, delta == 0.0)
+    history = []
     while True:
         # v^delta carries a constant of size |H-bar|/delta; centering before
         # the finite differences keeps the residual roundoff at the O(1)
@@ -338,19 +411,7 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
         if history[-1] <= tol or len(history) > max_steps or \
                 not np.isfinite(history[-1]):
             return u, c, history
-        if take is None:  # column j moves to perm[j], once per phase
-            take, A = _pattern(rows, perm[cols], src, n)
-        A.data[:] = np.append(J(u, delta), -1.0)[take]
-        if perm is None:
-            try:
-                lu = spla.splu(A)  # COLAMD, as spsolve orders by default
-            except RuntimeError:  # exactly singular: a NaN step ends the phase
-                w = np.full(n, np.nan)
-            else:
-                w, perm, take = lu.solve(r.ravel()), lu.perm_c.copy(), None
-                del lu  # a view of perm_c would keep the factors alive
-        else:
-            w = spla.spsolve(A, r.ravel(), permc_spec="NATURAL")[perm]
+        w = solve(np.append(J(u, delta), -1.0), r.ravel())
         if delta > 0.0:
             u = u - w.reshape(shape)
         else:

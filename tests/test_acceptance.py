@@ -35,6 +35,7 @@ from perhom import (
     run_validation,
     sample_env,
 )
+from perhom.harness import compute_row
 
 
 def _report(criterion, ok, detail):
@@ -126,23 +127,26 @@ def test_criterion_3_flat_spot_variation():
             f"0.9*{w:.4f} (tol 5e-3), {dt:.1f}s (budget 120s)")
 
 
+_CHECKERBOARD = {
+    "env": {"kind": "checkerboard", "dimension": 1,
+            "value_range": [0.0, 3.0], "cell_size": 1.0,
+            "mollify_radius": 0.25},
+    "model": {"type": "hjb", "c1": 1.0, "gamma": 2.0,
+              "constants": {"c_struct": 4.0, "gamma": 2.0,
+                            "c_corr": 2.0}},
+    "p_list": [0.0, 1.0, 2.0],
+    "L_list": [8.0, 16.0, 32.0, 64.0],
+    "seeds": list(range(16)),
+    "eta_mode": {"mode": "fixed", "value": 0.1},
+    "solver": {"tol": 1e-8, "dissipation_extrapolation": True},
+    "reference": {"method": "oracle", "box": 256.0, "quad_N": 2048},
+    "nodes_per_unit": 16,
+}
+
+
 @pytest.fixture(scope="module")
 def checkerboard_study():
-    cfg = StudyConfig.from_json({
-        "env": {"kind": "checkerboard", "dimension": 1,
-                "value_range": [0.0, 3.0], "cell_size": 1.0,
-                "mollify_radius": 0.25},
-        "model": {"type": "hjb", "c1": 1.0, "gamma": 2.0,
-                  "constants": {"c_struct": 4.0, "gamma": 2.0,
-                                "c_corr": 2.0}},
-        "p_list": [0.0, 1.0, 2.0],
-        "L_list": [8.0, 16.0, 32.0, 64.0],
-        "seeds": list(range(16)),
-        "eta_mode": {"mode": "fixed", "value": 0.1},
-        "solver": {"tol": 1e-8, "dissipation_extrapolation": True},
-        "reference": {"method": "oracle", "box": 256.0, "quad_N": 2048},
-        "nodes_per_unit": 16,
-    })
+    cfg = StudyConfig.from_json(_CHECKERBOARD)
     t0 = time.perf_counter()
     result = run_convergence_study(cfg)
     result.config["wall_time"] = time.perf_counter() - t0
@@ -171,6 +175,20 @@ def test_criterion_4_periodization_convergence(checkerboard_study):
             f"L=64 upper {at64['upper_pass']}/{at64['total']}, lower "
             f"{at64['lower_pass']}/{at64['total']} (need >= 15/16); "
             f"C_report {rep['C_report']:.3f}; {dt:.0f}s (budget 1200s)")
+
+
+def test_criterion_4_sweep_has_no_nan_rows():
+    # the criterion-4 cells of seeds 0-31: every cell solve converges, also
+    # at the steep iterates of the bordered Newton phase (no references)
+    cfg = StudyConfig.from_json({**_CHECKERBOARD, "seeds": list(range(32))})
+    t0 = time.perf_counter()
+    nan = [(seed, L, p) for seed in cfg.seeds for L in cfg.L_list
+           for p in cfg.p_list
+           if not math.isfinite(compute_row(cfg, seed, L, p, 0.0).constant_L)]
+    dt = time.perf_counter() - t0
+    _report("4 sweep", not nan and dt < 600.0,
+            f"NaN rows {len(nan)} of 384 (want 0) {nan[:4]}; {dt:.0f}s "
+            f"(budget 600s)")
 
 
 def test_criterion_5_rate_harness(checkerboard_study):

@@ -75,6 +75,13 @@ def test_fit_rate_drops_nonpositive_with_warning():
     assert slope == pytest.approx(-1.0, abs=1e-10)
 
 
+def test_fit_rate_drops_nonpositive_from_a_generator():
+    pairs = [(4.0, 0.1), (8.0, 0.05), (16.0, 0.025), (32.0, 0.0)]
+    with pytest.warns(UserWarning):
+        slope, _, _ = fit_rate(pair for pair in pairs)
+    assert slope == pytest.approx(-1.0, abs=1e-10)
+
+
 def test_fit_rate_too_few_points():
     with pytest.raises(ValueError):
         fit_rate([(4.0, 0.1), (8.0, 0.0), (16.0, -1.0)])

@@ -280,17 +280,28 @@ def test_constant_medium_family(v0, p):
 
 # --- the Newton loop against a step that assembles the whole matrix --------
 
-def _assembled_newton(F, J, cols, u, delta, tol, max_steps):
-    """``_newton`` as a loop that builds each step's matrix anew:
-    COO to CSC, the border stacked onto J[:, 1:], and ``spsolve`` with its
-    own COLAMD ordering."""
-    shape, n = u.shape, u.size
+def _assembled(vals, cols, bordered):
+    """The matrix of one step from J's values (and the border's -1) on
+    ``cols``: COO to CSC, with the border stacked onto J[:, 1:]."""
+    n = cols.shape[1]
     rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
+    Ju = sp.csc_matrix((np.ravel(vals)[:cols.size], (rows, cols.ravel())),
+                       shape=(n, n))
+    if not bordered:
+        return Ju
+    return sp.hstack([Ju[:, 1:], sp.csc_matrix(-np.ones((n, 1)))],
+                     format="csc")
+
+
+def _assembled_newton(F, J, cols, u, delta, tol, max_steps):
+    """``_newton`` as a loop that builds each step's matrix anew
+    (``_assembled``) and solves it with ``spsolve`` and its own COLAMD
+    ordering."""
+    shape = u.shape
     c = 0.0
     if delta == 0.0:
         u = u - u.flat[0]
         c = float(np.mean(F(u)))
-        border = sp.csc_matrix(-np.ones((n, 1)))
     history = []
     while True:
         m = float(u.mean())
@@ -299,15 +310,38 @@ def _assembled_newton(F, J, cols, u, delta, tol, max_steps):
         if history[-1] <= tol or len(history) > max_steps or \
                 not np.isfinite(history[-1]):
             return u, c, history
-        Ju = sp.csc_matrix((J(u, delta).ravel(), (rows, cols.ravel())),
-                           shape=(n, n))
+        A = _assembled(J(u, delta), cols, delta == 0.0)
         if delta > 0.0:
-            u = u - spla.spsolve(Ju, r.ravel()).reshape(shape)
+            u = u - spla.spsolve(A, r.ravel()).reshape(shape)
         else:
-            w = spla.spsolve(sp.hstack([Ju[:, 1:], border], format="csc"),
-                             r.ravel())
+            w = spla.spsolve(A, r.ravel())
             u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
             c -= float(w[-1])
+
+
+def _recording_banded(monkeypatch):
+    """Wrap ``hjb_solver._banded`` so that every step's system and its
+    solution are kept, as (values, right-hand side, solution, bordered)."""
+    systems = []
+    banded = hjb_solver._banded
+
+    def record(cols, bordered):
+        solve = banded(cols, bordered)
+
+        def fn(vals, b):
+            w = solve(vals, b)
+            systems.append((vals, b.copy(), w, bordered))
+            return w
+        return fn
+
+    monkeypatch.setattr(hjb_solver, "_banded", record)
+    return systems
+
+
+def _backward_error(A, w, b):
+    """Normwise backward error |b - A w| / (|A| |w| + |b|), in the sup norm."""
+    return float(np.max(np.abs(b - A @ w))
+                 / (spla.norm(A, np.inf) * np.max(np.abs(w)) + np.max(np.abs(b))))
 
 
 def _counting_spla(monkeypatch):
@@ -342,10 +376,12 @@ def _checkerboard_cell(d, n):
 @pytest.mark.parametrize("d, n", [(1, 128), (2, 16)])
 @pytest.mark.parametrize("steep", [False, True])
 def test_newton_matches_assembled_steps_bit_for_bit(monkeypatch, d, n, steep):
-    # the pattern, the gather and the phase's one column ordering must hand
-    # SuperLU the very matrices of a step that assembles everything: the
-    # bordered system is ill-conditioned at steep iterates, so any other
-    # rounding takes another Newton path
+    # 2D: the pattern, the gather and the phase's one column ordering must
+    # hand SuperLU the very matrices of a step that assembles everything:
+    # the bordered system is ill-conditioned at steep iterates, so any other
+    # rounding takes another Newton path.  1D runs on the banded kernel,
+    # which rounds otherwise: no SuperLU call, every step a backward-stable
+    # solve of the assembled system, and the assembled loop's limits
     prob, p, theta = _checkerboard_cell(d, n)
     F, J, cols = hjb_solver._hjb_scheme(prob, p, theta)
     u0 = np.zeros(prob.grid.shape)
@@ -354,6 +390,7 @@ def test_newton_matches_assembled_steps_bit_for_bit(monkeypatch, d, n, steep):
             prob, p, prob.grid,
             SolverParams(tol=1e-8, lf_theta=theta)).corrector.values
     calls = _counting_spla(monkeypatch)
+    systems = _recording_banded(monkeypatch)
     want_u, got_u = u0, u0
     for delta in (1.0, 0.0):
         want_u, want_c, want = _assembled_newton(F, J, cols, want_u, delta,
@@ -361,14 +398,50 @@ def test_newton_matches_assembled_steps_bit_for_bit(monkeypatch, d, n, steep):
         before = dict(calls)
         got_u, got_c, got = hjb_solver._newton(F, J, cols, got_u, delta,
                                                1e-8, 500)
-        assert got == want
-        assert np.array_equal(got_u, want_u)
-        assert got_c == want_c
         steps = len(got) - 1
         assert steps >= 1
-        # one factorization per step, and COLAMD only in the first
-        assert calls["splu"] - before["splu"] == 1
-        assert calls["spsolve"] - before["spsolve"] == steps - 1
+        if d == 2:
+            assert got == want
+            assert np.array_equal(got_u, want_u)
+            assert got_c == want_c
+            # one factorization per step, and COLAMD only in the first
+            assert calls["splu"] - before["splu"] == 1
+            assert calls["spsolve"] - before["spsolve"] == steps - 1
+            continue
+        assert calls == {"splu": 0, "spsolve": 0}
+        assert len(systems) == steps
+        for vals, b, w, bordered in systems:
+            assert bordered == (delta == 0.0)
+            assert _backward_error(_assembled(vals, cols, bordered), w, b) <= 1e-13
+        systems.clear()
+        assert got[-1] <= 1e-8 and want[-1] <= 1e-8
+        if delta > 0.0:  # -delta v, the discounted constant, at node 0
+            assert abs(delta * (got_u.flat[0] - want_u.flat[0])) <= 1e-10
+        else:
+            assert abs(got_c - want_c) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 127, 128])
+@pytest.mark.parametrize("bordered", [False, True])
+def test_banded_kernel_matches_dense_solve(n, bordered):
+    # odd n puts the last zigzag position on node (n - 1) / 2 + 1
+    rng = np.random.default_rng(n)
+    cols = hjb_solver._neighbours(make_grid(1, 1.0, n))
+    Jv = -rng.uniform(0.5, 1.5, cols.shape)
+    Jv[0] = -Jv[1:].sum(axis=0) + (0.0 if bordered else 0.5)
+    vals = np.append(Jv, -1.0)
+    b = rng.standard_normal(n)
+    w = hjb_solver._banded(cols, bordered)(vals, b)
+    want = np.linalg.solve(_assembled(vals, cols, bordered).toarray(), b)
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bordered", [False, True])
+def test_banded_kernel_singular_system_gives_nan_step(bordered):
+    cols = hjb_solver._neighbours(make_grid(1, 1.0, 16))
+    vals = np.append(np.zeros(cols.shape), -1.0)
+    w = hjb_solver._banded(cols, bordered)(vals, np.ones(16))
+    assert w.shape == (16,) and np.all(np.isnan(w))
 
 
 def test_newton_bellman_cell_matches_assembled_steps(monkeypatch):
