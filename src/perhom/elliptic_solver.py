@@ -2,8 +2,9 @@
 
 Three routes:
 
-* an exact 1D inverse-integral oracle that only uses the strict
-  monotonicity of F in its matrix argument,
+* an exact 1D inverse-integral oracle: F is a max of controls affine and
+  decreasing in its matrix argument, so each node's chi'' has a closed
+  form and one bisection in the constant remains,
 * the resolvent problem v + F(D^2 v + P, Lx) = 0 on the unit cell,
 * periodic-cell constants.
 
@@ -31,6 +32,7 @@ from .hjb_solver import (
     _newton,
     corrector_lipschitz,
 )
+from .oracle import _bisect
 
 __all__ = [
     "ergodic_constant_1d_exact",
@@ -42,61 +44,29 @@ __all__ = [
 def ergodic_constant_1d_exact(spec, P: float, quadrature_N: int = 256,
                               period: float = 1.0) -> float:
     """Exact 1D constant: the unique c with mean-zero chi'' where
-    F(chi'' + P, x) = c, found by nested bisection.
+    F(chi'' + P, x) = c.
 
-    The inner inversion brackets chi'' through the two-sided ellipticity
-    bound; the outer equation integral_0^period chi''(c, x) dx = 0 is
-    monotone decreasing in c.  Composite 5-point Gauss quadrature on
-    ``quadrature_N`` panels.
+    Every control -a_k X - f_k is affine and decreasing in X, so at each
+    node chi''(c, x) = max_k (-f_k - c) / a_k - P in closed form.  Its mean
+    decreases in c, and it is >= 0 at c = min_x F(P, x) and <= 0 at
+    c = max_x F(P, x); the oracle's bisection finds the root between.
+    Composite 5-point Gauss quadrature on ``quadrature_N`` panels.
     """
-    lam = getattr(spec, "base", spec).constants.lambda_bar
     xs, ws = gauss_legendre_panels(period, quadrature_N)
-    # per-node control coefficients, sampled once so the bisections below
-    # evaluate F as a vectorized max of affine functions of G
-    controls = spec.coefficients(xs[:, None])
+    controls = spec.coefficients(xs[:, None])  # sampled once per node
     amat = np.stack([a_mat[:, 0, 0] for a_mat, _ in controls], axis=1)
     fvec = np.stack([f for _, f in controls], axis=1)
+    if np.any(amat <= 0.0):
+        raise NonConvergenceError("F is not decreasing in X: a control has a <= 0")
+    FP = np.max(-amat * P - fvec, axis=1)
 
-    def F_of(G: np.ndarray) -> np.ndarray:
-        return np.max(-amat * (G + P)[:, None] - fvec, axis=1)
+    def minus_mean_G(c: float) -> float:
+        G = np.max((-fvec - c) / amat, axis=1) - P
+        return -float(np.dot(ws, G)) / period
 
-    FP = F_of(np.zeros_like(xs))
-
-    def invert_all(c: float) -> np.ndarray:
-        # solve F(G + P, x_i) = c for G at every node; F strictly
-        # decreasing in G with slope at least lambda_bar
-        span = 2.0 * (np.abs(FP - c) / lam + 1e-9)
-        lo, hi = -span, span
-        if np.any(F_of(lo) < c) or np.any(F_of(hi) > c):
-            raise NonConvergenceError("ellipticity bracket failure")
-        tol = 1e-12 * max(1.0, float(span.max()))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            pos = F_of(mid) >= c
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-            if float(np.max(hi - lo)) < tol:
-                break
-        return 0.5 * (lo + hi)
-
-    def mean_G(c: float) -> float:
-        return float(np.dot(ws, invert_all(c))) / period
-
-    c_lo = float(FP.min()) - 1.0
-    c_hi = float(FP.max()) + 1.0
-    while mean_G(c_lo) < 0:
-        c_lo -= max(1.0, c_hi - c_lo)
-    while mean_G(c_hi) > 0:
-        c_hi += max(1.0, c_hi - c_lo)
-    for _ in range(80):
-        c_mid = 0.5 * (c_lo + c_hi)
-        if mean_G(c_mid) >= 0:
-            c_lo = c_mid
-        else:
-            c_hi = c_mid
-        if c_hi - c_lo < 1e-12 * max(1.0, abs(c_lo) + abs(c_hi)):
-            break
-    return 0.5 * (c_lo + c_hi)
+    c_lo, c_hi = float(FP.min()), float(FP.max())
+    return _bisect(minus_mean_G, 0.0, c_lo, c_hi,
+                   1e-12 * max(1.0, abs(c_lo) + abs(c_hi)))
 
 
 # --- monotone discretization ---------------------------------------------
@@ -197,5 +167,5 @@ def ergodic_constant_periodic_elliptic(prob, P, grid: TorusGrid,
     fld = GridField(grid=grid, values=u, info={"residual": res})
     return ErgodicEstimate(
         value=c, residual=res, iterations=len(history) - 1, corrector=fld,
-        lipschitz_estimate=corrector_lipschitz(fld), converged=True,
+        lipschitz_estimate=corrector_lipschitz(fld),
         info={"oscillation": float(u.max() - u.min())})

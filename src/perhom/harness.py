@@ -216,8 +216,7 @@ def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
             spec, p, ref.get("deltas", [4e-3, 2e-3, 1e-3]),
             float(ref.get("box", 16.0)), _solver_params(cfg),
             grid_n=ref.get("grid_n"),
-            box_multiplier=float(ref.get("box_multiplier", 1.0)),
-            dissipation_extrapolation=True).value
+            box_multiplier=float(ref.get("box_multiplier", 1.0))).value
             for p in ps]
     raise ValueError(f"unknown reference method {method!r}")
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 import struct
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import MatrixRankWarning
 from scipy.linalg import lapack
 
 from .environment import lattice_points
@@ -130,7 +132,6 @@ class ErgodicEstimate:
     iterations: int
     corrector: GridField
     lipschitz_estimate: float
-    converged: bool
     info: dict = field(default_factory=dict)
 
 
@@ -320,7 +321,9 @@ def _superlu(cols: np.ndarray, bordered: bool):
             take, A = _pattern(rows, perm[cols], src, n)
         A.data[:] = vals[take]
         if perm is not None:
-            return spla.spsolve(A, b, permc_spec="NATURAL")[perm]
+            with warnings.catch_warnings():  # singular: a NaN step, silently
+                warnings.simplefilter("ignore", MatrixRankWarning)
+                return spla.spsolve(A, b, permc_spec="NATURAL")[perm]
         try:
             lu = spla.splu(A)  # COLAMD, as spsolve orders by default
         except RuntimeError:  # exactly singular: a NaN step ends the phase
@@ -513,7 +516,6 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
     return ErgodicEstimate(
         value=c, residual=res, iterations=sum(steps.values()),
         corrector=fld, lipschitz_estimate=corrector_lipschitz(fld),
-        converged=True,
         info={"theta": tuple(theta),
               "nodes_above_cap": int(np.count_nonzero(above)), **steps})
 
@@ -536,8 +538,7 @@ def _theta_extrapolated(solve, params: SolverParams, theta, value):
 
 def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
                             params: SolverParams, grid_n: int | None = None,
-                            box_multiplier: float = 1.0,
-                            dissipation_extrapolation: bool = False) -> ErgodicEstimate:
+                            box_multiplier: float = 1.0) -> ErgodicEstimate:
     """Reference ergodic constant via the small-discount limit.
 
     Solves the discounted problem on a torus of period ``box`` for each
@@ -547,8 +548,8 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     periodically wrapped media a smaller box is exact, so a violation is
     only flagged in ``info``, not fatal.
 
-    With ``dissipation_extrapolation`` each discounted problem is solved
-    twice, with dissipation theta and 2 theta (``_theta_extrapolated``).
+    Each discounted problem is solved twice, with dissipation theta and
+    2 theta, and extrapolated to theta = 0 (``_theta_extrapolated``).
     Every solve reads the same discretized cell.
     """
     deltas = [float(d) for d in delta_seq]
@@ -567,12 +568,8 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     vals = []
     total_iters = 0
     for dl in deltas:
-        pd = replace(params, delta=dl, lf_theta=theta0)
-        if dissipation_extrapolation:
-            v, flds = _theta_extrapolated(lambda pp, _: solve(pp), pd, theta0, read)
-        else:
-            flds = [solve(pd)]
-            v = read(flds[0])
+        pd = replace(params, delta=dl)
+        v, flds = _theta_extrapolated(lambda pp, _: solve(pp), pd, theta0, read)
         vals.append(v)
         total_iters += sum(f.info["iterations"] for f in flds)
         last = flds[0]
@@ -588,7 +585,6 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     return ErgodicEstimate(
         value=value, residual=residual, iterations=total_iters,
         corrector=last, lipschitz_estimate=corrector_lipschitz(last),
-        converged=True,
         info={"delta_values": vals, "extrapolants": extrap,
               "monotone_input": monotone, "sup_deviation": sup_dev,
               "small_box": small_box})

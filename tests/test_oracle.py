@@ -68,6 +68,15 @@ def test_hbar_even_in_p(cosine_V):
     assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [0.5, 2.5])
+def test_hbar_shifts_with_a_large_constant(cosine_V, p):
+    # near c = -1e8 the float spacing passes the 1e-10 tolerance, so the
+    # bisection ends when no float is left inside its bracket
+    V = lambda x: cosine_V(x) + 1e8
+    want = hbar_1d_first_order(cosine_V, 1.0, 2.0, p) - 1e8
+    assert hbar_1d_first_order(V, 1.0, 2.0, p) == pytest.approx(want, abs=1e-6)
+
+
 def test_flat_spot_value_both_conventions():
     env = sample_env(EnvSpec(kind="checkerboard", dimension=1,
                              value_range=(0.0, 3.0), mollify_radius=0.25), 5)
