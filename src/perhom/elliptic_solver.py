@@ -28,6 +28,7 @@ from .hjb_solver import (
     SolverParams,
     TorusGrid,
     _check_period,
+    _finish,
     _neighbours,
     _newton,
     corrector_lipschitz,
@@ -140,12 +141,7 @@ def solve_resolvent(spec, P, L: float, grid: TorusGrid,
     u, _, history = _newton(*_bellman_scheme(spec, P, grid, coord_scale=L),
                             np.zeros(grid.shape), 1.0, params.tol,
                             params.max_iter)
-    res = history[-1]
-    if not res <= params.tol:
-        raise NonConvergenceError(f"resolvent stalled at residual {res:.3e}",
-                                  history)
-    return GridField(grid=grid, values=u,
-                     info={"residual": res, "iterations": len(history) - 1})
+    return _finish("resolvent", grid, u, history, params.tol)
 
 
 def ergodic_constant_periodic_elliptic(prob, P, grid: TorusGrid,
@@ -160,12 +156,8 @@ def ergodic_constant_periodic_elliptic(prob, P, grid: TorusGrid,
     u, c, history = _newton(*_bellman_scheme(prob, P, grid, coord_scale=1.0),
                             np.zeros(grid.shape), 0.0, params.tol,
                             params.max_iter)
-    res = history[-1]
-    if not res <= params.tol:
-        raise NonConvergenceError(f"elliptic cell solve stalled at {res:.3e}",
-                                  history)
-    fld = GridField(grid=grid, values=u, info={"residual": res})
+    fld = _finish("elliptic cell solve", grid, u, history, params.tol)
     return ErgodicEstimate(
-        value=c, residual=res, iterations=len(history) - 1, corrector=fld,
-        lipschitz_estimate=corrector_lipschitz(fld),
-        info={"oscillation": float(u.max() - u.min())})
+        value=c, residual=fld.info["residual"],
+        iterations=fld.info["iterations"], corrector=fld,
+        lipschitz_estimate=corrector_lipschitz(fld))

@@ -107,7 +107,8 @@ class StudyConfig(JsonFields):
     """Validated study description; its fields are the JSON schema.
     ``dissipation_extrapolation`` in ``solver`` or ``reference`` may only
     be true, ``model.dimension`` only the medium's d, and each entry of
-    ``p_list`` has d values (HJB momentum) or d^2 (elliptic offset)."""
+    ``p_list`` has d values (HJB momentum) or d^2 (elliptic offset), and
+    a CSV label (``_p_label``) of its own."""
 
     env: EnvSpec
     model: dict
@@ -138,6 +139,8 @@ class StudyConfig(JsonFields):
         size = self.env.dimension ** (1 if self.model.get("type", "hjb") == "hjb" else 2)
         if any(np.size(p) != size for p in self.p_list):
             raise ValueError(f"each p_list entry must have {size} values")
+        if len({_p_label(p) for p in self.p_list}) != len(self.p_list):
+            raise ValueError("p_list entries must be distinct")
 
     @classmethod
     def from_json(cls, obj: dict) -> "StudyConfig":
@@ -215,8 +218,7 @@ def _reference_hjb(cfg: StudyConfig, seed: int, ps) -> list[float]:
         return [estimate_Hbar_reference(
             spec, p, ref.get("deltas", [4e-3, 2e-3, 1e-3]),
             float(ref.get("box", 16.0)), _solver_params(cfg),
-            grid_n=ref.get("grid_n"),
-            box_multiplier=float(ref.get("box_multiplier", 1.0))).value
+            grid_n=ref.get("grid_n")).value
             for p in ps]
     raise ValueError(f"unknown reference method {method!r}")
 

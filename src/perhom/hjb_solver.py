@@ -108,10 +108,9 @@ class GridField:
 @dataclass
 class SolverParams:
     """delta is the discount (0 for ergodic problems); lf_theta overrides
-    the automatic per-axis dissipation bound; max_iter bounds the Newton
-    (Howard) steps of each phase of a solve, one sparse linear solve each,
-    for the HJB and the elliptic solvers alike.  Nothing marches in
-    pseudo-time, so there is no CFL safety factor."""
+    the automatic per-axis dissipation bound.  Each Newton (Howard) phase
+    of a solve, HJB or elliptic, stops at residual tol or after max_iter
+    steps of one linear solve each; the last phase must reach tol."""
 
     delta: float = 0.0
     lf_theta: tuple[float, ...] | None = None
@@ -140,7 +139,7 @@ class ErgodicEstimate:
 @dataclass
 class _GridProblem:
     """A discretized cell: H(q, x) = c1(x)|q|^gamma - V(x) and diffusion
-    coefficient a(x) per axis at the grid nodes, read from the spec's one
+    A(x) = a(x) I at the grid nodes, read from the spec's one
     ``coefficients`` method (V sampled once per node).  The solvers accept
     it in place of a spec, so several solves (theta and 2 theta, a
     sequence of discounts) share one discretization and its stencil.
@@ -150,7 +149,7 @@ class _GridProblem:
     gamma: float
     c1: np.ndarray
     V: np.ndarray
-    a: np.ndarray  # shape (d,) + grid.shape
+    a: np.ndarray
     cols: np.ndarray  # _neighbours(grid), shape (1 + 2d, n)
 
 
@@ -175,9 +174,7 @@ def _discretize(spec, grid: TorusGrid) -> _GridProblem:
     shape = grid.shape
     c1, V, a = spec.coefficients(grid.nodes())
     return _GridProblem(grid=grid, gamma=spec.gamma, c1=c1.reshape(shape),
-                        V=V.reshape(shape),
-                        a=np.broadcast_to(a.reshape(shape),
-                                          (grid.dimension,) + shape).copy(),
+                        V=V.reshape(shape), a=a.reshape(shape),
                         cols=_neighbours(grid))
 
 
@@ -239,7 +236,7 @@ def _extended_H(prob: _GridProblem, r: np.ndarray, R: np.ndarray):
 
 def _stencil(prob: _GridProblem, u: np.ndarray, p, theta):
     """Per axis: u at i+1 and i-1, the centred momentum p_i + (D+u + D-u)/2
-    and the coefficient (a_i + theta_i h_i / 2) / h_i^2 of the second
+    and the coefficient (a + theta_i h_i / 2) / h_i^2 of the second
     difference, which the Lax-Friedrichs term theta_i (D+u - D-u)/2 is
     too; and the norm of the centred momentum."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -248,7 +245,7 @@ def _stencil(prob: _GridProblem, u: np.ndarray, p, theta):
         up, um = (u.ravel()[prob.cols[t]].reshape(u.shape)
                   for t in (1 + 2 * i, 2 + 2 * i))
         axes.append((up, um, p[i] + (up - um) / (2.0 * h),
-                     (prob.a[i] + 0.5 * theta[i] * h) / h ** 2))
+                     (prob.a + 0.5 * theta[i] * h) / h ** 2))
     return axes, np.sqrt(sum(q * q for _, _, q, _ in axes))
 
 
@@ -267,7 +264,7 @@ def _jacobian(prob: _GridProblem, u: np.ndarray, p, theta, R: np.ndarray,
               delta: float) -> np.ndarray:
     """Jacobian of delta*u + ``_operator`` on the stencil ``prob.cols``.
 
-    Off the diagonal every entry is +-dH/dq_i / (2 h_i) - (a_i + theta_i h_i
+    Off the diagonal every entry is +-dH/dq_i / (2 h_i) - (a + theta_i h_i
     / 2) / h_i^2 < 0, since the extension keeps |dH/dq_i| below theta_i:
     the scheme is monotone.
     """
@@ -299,19 +296,19 @@ def _pattern(rows: np.ndarray, cols: np.ndarray, src: np.ndarray, n: int):
 
 
 def _superlu(cols: np.ndarray, bordered: bool):
-    """A phase's solver on any stencil: the CSC matrix J, or [J[:, 1:], -1]
-    with the constant last.  The first step factors with SuperLU's COLAMD
+    """A phase's solver on any stencil: the CSC matrix J, bordered or not
+    (see ``_newton``).  The first step factors with SuperLU's COLAMD
     ordering; the later ones refill one CSC matrix, its columns already in
     that order, and factor it with the natural ordering."""
     n = cols.shape[1]
     rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
     cols = cols.ravel()
     src = np.arange(cols.size)  # entry e takes the e-th value of J
-    if bordered:
-        keep = cols != 0  # the -1 is appended to J's values
+    if bordered:  # node 0's column takes the -1 appended to J's values
+        keep = cols != 0
         rows = np.concatenate((rows[keep], np.arange(n)))
         src = np.concatenate((src[keep], np.full(n, cols.size)))
-        cols = np.concatenate((cols[keep] - 1, np.full(n, n - 1)))
+        cols = np.concatenate((cols[keep], np.zeros(n, dtype=cols.dtype)))
     take, A = _pattern(rows, cols, src, n)
     perm = None
 
@@ -335,15 +332,15 @@ def _superlu(cols: np.ndarray, bordered: bool):
 
 
 def _banded(cols: np.ndarray, bordered: bool):
-    """A phase's solver on a 1D torus, in LAPACK band storage.
+    """A phase's solver on a 1D torus, in LAPACK band storage: the matrix
+    J, bordered or not (see ``_newton``), in the same column order.
 
     In the zigzag order z = (0, 1, n-1, 2, n-2, ...) the cyclic tridiagonal
     J has bandwidths 2.  Each row after the first, minus the row before it
-    (the right-hand side alike), cancels the border's -1 in all but row 0;
-    the constant takes the column of the pinned node 0, and the system is
-    banded with kl = 3, ku = 2.  ``dgbsv`` solves it with partial pivoting;
-    a singular factor gives a NaN step.  Without the border (delta > 0)
-    node 0 keeps its column."""
+    (the right-hand side alike), cancels the border's -1 in node 0's column
+    in all but row 0, and the system is banded with kl = 3, ku = 2.
+    ``dgbsv`` solves it with partial pivoting; a singular factor gives a
+    NaN step."""
     n = cols.shape[1]
     node = np.arange(n)
     pos = np.where(node <= n // 2, 2 * node - 1, 2 * (n - node))
@@ -362,7 +359,6 @@ def _banded(cols: np.ndarray, bordered: bool):
         i, j = np.append(i, 0), np.append(j, 0)
         src, sign = np.append(src, cols.size), np.append(sign, 1.0)
     band = 5 + i - j + 9 * j  # A[i, j] at ab[kl + ku + i - j, j], column-major
-    out = np.roll(pos, -1) if bordered else pos  # the unknowns' positions
     z = np.argsort(pos)
 
     def solve(vals, b):
@@ -371,7 +367,7 @@ def _banded(cols: np.ndarray, bordered: bool):
         rhs[1:] -= b[z[:-1]]
         _, _, x, info = lapack.dgbsv(3, 2, ab.reshape((9, n), order="F"),
                                      rhs, overwrite_ab=True, overwrite_b=True)
-        return x[out] if info == 0 else np.full(n, np.nan)
+        return x[pos] if info == 0 else np.full(n, np.nan)
 
     return solve
 
@@ -386,10 +382,10 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
     array sits in row i, column ``cols[t, i]``; no row repeats a column.
     delta > 0: delta u + F(u) = 0, an M-matrix system that Howard's
     algorithm solves from any start.  delta = 0: F(u) = c with u = 0 at
-    node 0, so the matrix is [J[:, 1:], -1] and c is the last unknown.
-    At steep iterates its condition number passes 1e16, so the steps
-    follow the solver's rounding; eliminating node 0 by a Schur complement
-    instead overflowed.
+    node 0, so the matrix is J with node 0's column replaced by -1, and
+    the solution's entry 0 is the correction of c.  At steep iterates its
+    condition number passes 1e16, so the steps follow the solver's
+    rounding; eliminating node 0 by a Schur complement instead overflowed.
 
     One call is one phase, with one linear solver chosen from the stencil.
     A 1D torus (three columns per row) goes to ``_banded``, a differenced
@@ -415,11 +411,23 @@ def _newton(F, J, cols: np.ndarray, u: np.ndarray, delta: float, tol: float,
                 not np.isfinite(history[-1]):
             return u, c, history
         w = solve(np.append(J(u, delta), -1.0), r.ravel())
-        if delta > 0.0:
-            u = u - w.reshape(shape)
-        else:
-            u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
-            c -= float(w[-1])
+        u = u - w.reshape(shape)
+        if delta == 0.0:  # node 0's entry is the constant's correction
+            c -= float(w[0])
+            u.flat[0] = 0.0
+
+
+def _finish(what: str, grid: TorusGrid, u: np.ndarray, history,
+            tol: float, earlier=()) -> GridField:
+    """The end of every cell solve: the field u of a ``_newton`` phase, its
+    residual and steps in ``info``, or NonConvergenceError with the
+    residuals of the ``earlier`` phases and this one if it ended above tol."""
+    if not history[-1] <= tol:
+        raise NonConvergenceError(
+            f"{what} stalled at residual {history[-1]:.3e}",
+            [*earlier, *history])
+    return GridField(grid=grid, values=u, info={
+        "residual": history[-1], "iterations": len(history) - 1})
 
 
 def _check_period(prob, grid: TorusGrid) -> None:
@@ -446,20 +454,16 @@ def solve_delta_problem(spec, p, grid: TorusGrid, params: SolverParams) -> GridF
     u, _, history = _newton(*_hjb_scheme(prob, p, theta),
                             np.zeros(grid.shape), params.delta, params.tol,
                             params.max_iter)
-    res = history[-1]
-    if not res <= params.tol:
-        raise NonConvergenceError(
-            f"discounted solve stalled at residual {res:.3e}", history)
+    fld = _finish("discounted solve", grid, u, history, params.tol)
     bound = float(np.max(np.abs(prob.c1 * np.linalg.norm(np.atleast_1d(p))
                                 ** prob.gamma - prob.V))) / params.delta
     if float(np.max(np.abs(u))) > 1.01 * bound + params.tol / params.delta:
         raise NonConvergenceError("discounted solution violates the sup bound",
                                   history)
     above = _stencil(prob, u, p, theta)[1] > _gradient_cap(prob, theta)
-    return GridField(grid=grid, values=u,
-                     info={"residual": res, "iterations": len(history) - 1,
-                           "theta": tuple(theta), "delta": params.delta,
-                           "nodes_above_cap": int(np.count_nonzero(above))})
+    fld.info.update(theta=tuple(theta), delta=params.delta,
+                    nodes_above_cap=int(np.count_nonzero(above)))
+    return fld
 
 
 def corrector_lipschitz(fld: GridField) -> float:
@@ -506,15 +510,11 @@ def ergodic_constant_periodic(prob, p, grid: TorusGrid,
                                   params.tol, params.max_iter)
     u, c, history = _newton(*scheme, np.reshape(init, grid.shape), 0.0,
                             params.tol, params.max_iter)
-    res = history[-1]
-    if not res <= params.tol:
-        raise NonConvergenceError(
-            f"ergodic solve stalled at residual {res:.3e}", warmup + history)
-    fld = GridField(grid=grid, values=u, info={"residual": res})
+    fld = _finish("ergodic solve", grid, u, history, params.tol, warmup)
     above = _stencil(gprob, u, p, theta)[1] > _gradient_cap(gprob, theta)
     steps = {"warmup_steps": len(warmup[1:]), "bordered_steps": len(history) - 1}
     return ErgodicEstimate(
-        value=c, residual=res, iterations=sum(steps.values()),
+        value=c, residual=history[-1], iterations=sum(steps.values()),
         corrector=fld, lipschitz_estimate=corrector_lipschitz(fld),
         info={"theta": tuple(theta),
               "nodes_above_cap": int(np.count_nonzero(above)), **steps})
@@ -537,16 +537,14 @@ def _theta_extrapolated(solve, params: SolverParams, theta, value):
 
 
 def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
-                            params: SolverParams, grid_n: int | None = None,
-                            box_multiplier: float = 1.0) -> ErgodicEstimate:
+                            params: SolverParams,
+                            grid_n: int | None = None) -> ErgodicEstimate:
     """Reference ergodic constant via the small-discount limit.
 
     Solves the discounted problem on a torus of period ``box`` for each
     discount in the (decreasing) sequence, reads -delta v(0) and Richardson
-    extrapolates linearly in delta.  ``box_multiplier`` is the constant c
-    in the nominal requirement box >= c / min(delta); for periodic or
-    periodically wrapped media a smaller box is exact, so a violation is
-    only flagged in ``info``, not fatal.
+    extrapolates linearly in delta.  For periodic or periodically wrapped
+    media a box below the nominal 1 / min(delta) is exact.
 
     Each discounted problem is solved twice, with dissipation theta and
     2 theta, and extrapolated to theta = 0 (``_theta_extrapolated``).
@@ -558,7 +556,6 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     d = spec.dimension
     n = grid_n or max(64, int(64 * box))
     grid = make_grid(d, box, n)
-    small_box = box < box_multiplier / deltas[-1]
     theta0 = params.lf_theta or default_theta(spec, p, grid)
     solve = partial(solve_delta_problem, _discretize(spec, grid), p, grid)
 
@@ -576,18 +573,11 @@ def estimate_Hbar_reference(spec: HamiltonianSpec, p, delta_seq, box: float,
     extrap = []
     for (da, va), (db, vb) in zip(zip(deltas, vals), zip(deltas[1:], vals[1:])):
         extrap.append((vb * da - va * db) / (da - db))
-    value = extrap[-1]
     residual = abs(extrap[-1] - extrap[-2]) if len(extrap) >= 2 else \
         abs(vals[-1] - vals[-2])
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= 0) or np.all(diffs <= 0))
-    sup_dev = float(np.max(np.abs(deltas[-1] * last.values + value)))
     return ErgodicEstimate(
-        value=value, residual=residual, iterations=total_iters,
-        corrector=last, lipschitz_estimate=corrector_lipschitz(last),
-        info={"delta_values": vals, "extrapolants": extrap,
-              "monotone_input": monotone, "sup_deviation": sup_dev,
-              "small_box": small_box})
+        value=extrap[-1], residual=residual, iterations=total_iters,
+        corrector=last, lipschitz_estimate=corrector_lipschitz(last))
 
 
 # --- flat binary persistence ("PHF1") -------------------------------------

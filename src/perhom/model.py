@@ -210,10 +210,6 @@ def linear_elliptic_spec(env, a_desc: dict, f_desc: dict,
                         constants=constants, dimension=dimension)
 
 
-def _frob(x) -> float:
-    return float(np.linalg.norm(x))
-
-
 def verify_structure(spec, samples: int = 2000, box: float = 4.0, seed: int = 0) -> dict:
     """Sampled audit of the structural assumptions against declared constants.
 
@@ -231,6 +227,9 @@ def verify_structure(spec, samples: int = 2000, box: float = 4.0, seed: int = 0)
         report[name] = {"worst": float(worst), "bound": float(bound),
                         "passed": bool(worst <= bound)}
 
+    def worst(ratio, where=True):
+        return float(np.max(ratio, where=where, initial=0.0))
+
     if isinstance(spec, HamiltonianSpec):
         C = spec.constants.c_struct
         g = spec.constants.gamma
@@ -246,9 +245,6 @@ def verify_structure(spec, samples: int = 2000, box: float = 4.0, seed: int = 0)
 
         def H(c1, V, mom):
             return c1 * np.linalg.norm(mom, axis=1) ** spec.gamma - V
-
-        def worst(ratio, where=True):
-            return float(np.max(ratio, where=where, initial=0.0))
 
         pn, qn = np.linalg.norm(ps, axis=1), np.linalg.norm(qs, axis=1)
         dxy, dpq = np.linalg.norm(xs - ys, axis=1), np.linalg.norm(ps - qs, axis=1)
@@ -277,39 +273,37 @@ def verify_structure(spec, samples: int = 2000, box: float = 4.0, seed: int = 0)
     d = spec.dimension
     xs = rng.uniform(-box / 2, box / 2, size=(samples, d))
     ys = rng.uniform(-box / 2, box / 2, size=(samples, d))
-    min_up = math.inf  # F(X+Y)-F(X) <= -lambda ||Y||
-    worst_lo = 0.0     # F(X+Y)-F(X) >= -Lambda ||Y|| (Frobenius, literal form)
-    worst_lo_tr = 0.0  # same with the trace norm (standard form, recorded)
-    worst_b = abs(eval_F(spec, np.zeros((d, d)), np.zeros(d))) / cst.c_bar
-    worst_rho = 0.0
+    # trial by trial X = -2 + 4u, then B = -1 + 2u, as rng.uniform draws them
+    draws = rng.random((samples, 2, d, d))
+    X = -2.0 + 4.0 * draws[:, 0]
+    X = 0.5 * (X + X.transpose(0, 2, 1))
+    B = -1.0 + 2.0 * draws[:, 1]
+    Y = B @ B.transpose(0, 2, 1)  # PSD
     # each trial point is sampled once: the controls at every x and every y
     at_x, at_y = spec.coefficients(xs), spec.coefficients(ys)
 
-    def F(ctl, k, X):  # eval_F from the k-th row of sampled controls
-        return max(-float(np.trace(a[k] @ X)) - float(f[k]) for a, f in ctl)
+    def F(ctl, X):  # eval_F at every trial from its sampled controls
+        return np.max([-np.trace(a @ X, axis1=1, axis2=2) - f for a, f in ctl],
+                      axis=0)
 
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        X = rng.uniform(-2, 2, size=(d, d))
-        X = 0.5 * (X + X.T)
-        B = rng.uniform(-1, 1, size=(d, d))
-        Y = B @ B.T  # PSD
-        ny = _frob(Y)
-        if ny > 1e-9:
-            diff = F(at_x, k, X + Y) - F(at_x, k, X)
-            min_up = min(min_up, diff / (-cst.lambda_bar * ny))
-            worst_lo = max(worst_lo, diff / (-cst.Lambda_bar * ny))
-            worst_lo_tr = max(worst_lo_tr, diff / (-cst.Lambda_bar * float(np.trace(Y))))
-        dxy = np.linalg.norm(x - y)
-        if dxy > 0:
-            lhs = abs(F(at_x, k, X) - F(at_y, k, X))
-            worst_rho = max(worst_rho, lhs / (cst.rho_slope * dxy))
+    ny, dxy = np.linalg.norm(Y, axis=(1, 2)), np.linalg.norm(xs - ys, axis=1)
+    diff, big = F(at_x, X + Y) - F(at_x, X), ny > 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # F(X+Y)-F(X) <= -lambda ||Y|| and >= -Lambda ||Y|| (Frobenius, the
+        # literal form), and the latter with the trace norm (standard form)
+        min_up = np.min(diff / (-cst.lambda_bar * ny), where=big,
+                        initial=math.inf)
+        worst_lo = worst(diff / (-cst.Lambda_bar * ny), big)
+        worst_lo_tr = worst(diff / (-cst.Lambda_bar
+                                    * np.trace(Y, axis1=1, axis2=2)), big)
+        worst_rho = worst(np.abs(F(at_x, X) - F(at_y, X))
+                          / (cst.rho_slope * dxy), dxy > 0)
     # min_up >= 1 certifies at least lambda_bar decay per unit ||Y||;
     # worst_lo <= 1 would certify the literal Frobenius lower bound (it can
     # fail for d >= 2, the trace variant is the sharp one)
     entry("Felliptic_upper", 1.0 / min_up if min_up > 0 else math.inf)
-    report["Felliptic_lower_frobenius"] = {
-        "worst": float(worst_lo), "bound": 1.0, "passed": bool(worst_lo <= 1.0)}
+    entry("Felliptic_lower_frobenius", worst_lo)
     entry("Felliptic_lower_trace", worst_lo_tr)
-    entry("Fbounded", worst_b)
+    entry("Fbounded", abs(eval_F(spec, np.zeros((d, d)), np.zeros(d))) / cst.c_bar)
     entry("Fcontinuous", worst_rho)
     return report

@@ -103,12 +103,7 @@ def _h0_domination() -> tuple[bool, str]:
         StructuralConstants(c_struct=3.0, gamma=1.5, c_corr=1.0),
     ]
     for cst in fixtures:
-        c_h0 = choose_H0_constant(cst)  # raises on grid-check failure
-        t = np.linspace(0.0, 100.0, 2001)
-        lhs = (cst.c_corr * (t + 1.0)) ** cst.gamma / c_h0 - c_h0
-        rhs = t ** cst.gamma / cst.c_struct - cst.c_struct
-        if np.any(lhs > rhs + 1e-12):
-            return False, f"domination fails for {cst}"
+        choose_H0_constant(cst)  # checks the domination, raises if it fails
     return True, f"{len(fixtures)} constant fixtures dominated"
 
 

@@ -6,6 +6,7 @@ import pytest
 from perhom import (StudyConfig, hbar_1d_first_order, load_field,
                     run_convergence_study)
 from perhom.cli import main
+from perhom.harness import ResultRow, load_csv
 
 
 def _write(tmp_path, name, obj):
@@ -167,18 +168,28 @@ def test_tol_flag_forces_nonconvergence_exit_2(capsys, tmp_path):
     cfg = _hjb_config(tmp_path, solver={"tol": 1e-8, "max_iter": 3})
     assert main(["hbar-l", "--config", cfg, "--tol", "1e-15"]) == 2
     assert "converge" in capsys.readouterr().err
+    # hbar-l reports a failed cell as a NaN row; a failed discounted solve
+    # of the reference raises NonConvergenceError up to main
+    cfg = _hjb_config(tmp_path, solver={"tol": 1e-8, "max_iter": 3},
+                      reference={"method": "delta_extrapolation", "box": 1.0,
+                                 "deltas": [0.02, 0.01], "grid_n": 64})
+    assert main(["hbar", "--config", cfg, "--tol", "1e-20"]) == 2
+    assert "solver did not converge" in capsys.readouterr().err
 
 
 def test_study_writes_csv_and_rate_fit_reads_it(capsys, tmp_path):
-    csv_path = tmp_path / "study.csv"
+    csv_path, json_path = tmp_path / "study.csv", tmp_path / "study.json"
     cfg = _hjb_config(tmp_path, L_list=[2.0, 4.0, 8.0],
-                      nodes_per_unit=32, p_list=[2.5])
+                      nodes_per_unit=32, p_list=[2.5], out_json=str(json_path))
     assert main(["study", "--config", cfg, "--out", str(csv_path)]) == 0
     cap = capsys.readouterr()
     assert "3 rows" in cap.out
+    assert f"wrote {json_path}" in cap.out
     text = csv_path.read_text()
     assert text.startswith("seed,L,eta_used,p,")
     assert len(text.splitlines()) == 4
+    rows = json.loads(json_path.read_text())["rows"]
+    assert [ResultRow(**r) for r in rows] == load_csv(csv_path)
     fit_json = tmp_path / "fit.json"
     assert main(["rate-fit", "--config", str(csv_path),
                  "--out", str(fit_json)]) == 0

@@ -169,6 +169,10 @@ def test_config_round_trip_and_validation():
         _tiny_config(seeds=[1, 1])
     with pytest.raises(ValueError):
         _tiny_config(p_list=[])
+    # one CSV label, "1.0": the study wrote two rows per key, which a
+    # resume folded into one
+    with pytest.raises(ValueError, match="distinct"):
+        _tiny_config(p_list=[1.0, [1.0]])
 
 
 def test_study_runs_and_columns_sane(tmp_path):
@@ -376,7 +380,7 @@ def test_p_entries_have_the_model_dimension():
              "f": {"cos": [0.0, 0.5]}, "constants": {}}
     with pytest.raises(ValueError, match="p_list"):
         _tiny_config(model=model, p_list=[[0.3, 0.0, 0.0, 0.3]])
-    assert _tiny_config(model=model, p_list=[0.3, [[0.3]]]).p_list == [0.3, [[0.3]]]
+    assert _tiny_config(model=model, p_list=[0.3, [[0.4]]]).p_list == [0.3, [[0.4]]]
     # an HJB momentum has d values
     with pytest.raises(ValueError, match="p_list"):
         _tiny_config(p_list=[1.0, [1.0, 0.0]])

@@ -132,7 +132,6 @@ def test_reference_agrees_with_oracle(cosine_V):
         params=SolverParams(tol=1e-8), grid_n=1024)
     exact = hbar_1d_first_order(cosine_V, 1.0, 2.0, 2.5)
     assert abs(ref.value - exact) <= 5e-4
-    assert ref.info["small_box"]  # box 1 < 1/0.005, flagged not fatal
 
 
 def test_reference_needs_decreasing_discounts():
@@ -285,14 +284,14 @@ def test_constant_medium_family(v0, p):
 
 def _assembled(vals, cols, bordered):
     """The matrix of one step from J's values (and the border's -1) on
-    ``cols``: COO to CSC, with the border stacked onto J[:, 1:]."""
+    ``cols``: COO to CSC, with the border in place of node 0's column."""
     n = cols.shape[1]
     rows = np.broadcast_to(np.arange(n), cols.shape).ravel()
     Ju = sp.csc_matrix((np.ravel(vals)[:cols.size], (rows, cols.ravel())),
                        shape=(n, n))
     if not bordered:
         return Ju
-    return sp.hstack([Ju[:, 1:], sp.csc_matrix(-np.ones((n, 1)))],
+    return sp.hstack([sp.csc_matrix(-np.ones((n, 1))), Ju[:, 1:]],
                      format="csc")
 
 
@@ -313,13 +312,13 @@ def _assembled_newton(F, J, cols, u, delta, tol, max_steps):
         if history[-1] <= tol or len(history) > max_steps or \
                 not np.isfinite(history[-1]):
             return u, c, history
-        A = _assembled(J(u, delta), cols, delta == 0.0)
+        w = spla.spsolve(_assembled(J(u, delta), cols, delta == 0.0),
+                         r.ravel())
         if delta > 0.0:
-            u = u - spla.spsolve(A, r.ravel()).reshape(shape)
-        else:
-            w = spla.spsolve(A, r.ravel())
-            u = u - np.concatenate(([0.0], w[:-1])).reshape(shape)
-            c -= float(w[-1])
+            u = u - w.reshape(shape)
+        else:  # w[0] is the constant's correction
+            u = u - np.concatenate(([0.0], w[1:])).reshape(shape)
+            c -= float(w[0])
 
 
 def _recording_banded(monkeypatch):
